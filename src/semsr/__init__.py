@@ -21,13 +21,7 @@ from .embeddings import (
     load_semantic_table,
     pseudo_encode,
 )
-from .encoder import (
-    AttentionParams,
-    BackboneParams,
-    encode_backbone_session,
-    encode_semantic_session,
-    register_backbone,
-)
+from .encoder import AttentionParams, register_backbone
 from .errors import DataError, GenerationError, NumericError, SemsrError
 from .metrics import EvalResult, evaluate, recall_at_k, rr_at_k
 from .model import ModelParams, init_model, load_checkpoint, save_checkpoint, score_all, top_k

@@ -100,7 +100,7 @@ def cmd_train(cfg: RunConfig) -> int:
             train_examples, val_examples, params, fit_semantic,
             epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
             beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon,
-            patience=cfg.patience, seed=cfg.seed, val_k=cfg.val_k, threads=cfg.threads,
+            patience=cfg.patience, seed=cfg.seed, val_k=cfg.val_k,
         )
     except TrainingDiverged as exc:
         save_checkpoint(out / "checkpoint", exc.params)
@@ -237,7 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--variant", choices=["base", "sem-i", "sem-f"])
         p.add_argument("--k", dest="ks", help="comma-separated cutoffs, e.g. 20,100")
-        p.add_argument("--threads", type=int)
         p.add_argument("--out", dest="out_dir")
         if name == "ingest":
             p.add_argument("--data-dir", dest="data_dir")
@@ -249,6 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ranker-checkpoint", dest="ranker_checkpoint")
         if name == "prompt":
             p.add_argument("--strategy", choices=["fs", "zcot", "fscot"])
+            p.add_argument("--threads", type=int)
     return parser
 
 

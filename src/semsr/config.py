@@ -1,12 +1,14 @@
 """Run configuration: a plain key = value text file plus CLI overrides.
 
-Lines starting with # and blank lines are ignored. Values are coerced by
-field type; list fields (ks, ratios) are comma-separated. Relative paths
+Lines starting with # and blank lines are ignored, and so is a # that
+follows whitespace together with the rest of its line. Values are coerced
+by field type; list fields (ks, ratios) are comma-separated. Relative paths
 are resolved against the config file's directory. Unknown keys are
 rejected so typos fail fast.
 """
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,19 +93,22 @@ class RunConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
-def _coerce(name: str, raw: str):
+def _coerce(name: str, raw: str, where: str):
     raw = raw.strip()
     if raw == "":
         return None
-    if name in ("ks",):
-        return tuple(int(x) for x in raw.split(","))
-    if name in ("ratios",):
-        return tuple(float(x) for x in raw.split(","))
-    typ = _FIELDS[name].type
-    if typ in (int, "int"):
-        return int(raw)
-    if typ in (float, "float"):
-        return float(raw)
+    try:
+        if name in ("ks",):
+            return tuple(int(x) for x in raw.split(","))
+        if name in ("ratios",):
+            return tuple(float(x) for x in raw.split(","))
+        typ = _FIELDS[name].type
+        if typ in (int, "int"):
+            return int(raw)
+        if typ in (float, "float"):
+            return float(raw)
+    except ValueError as exc:
+        raise DataError(f"{where}: bad value for {name}: {exc}") from None
     return raw
 
 
@@ -114,7 +119,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise DataError(f"config file not found: {path}")
     values: dict = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.strip()
+        stripped = re.sub(r"\s#.*", "", line).strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
@@ -123,7 +128,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         key = key.strip().replace("-", "_")
         if key not in _FIELDS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-        value = _coerce(key, raw)
+        value = _coerce(key, raw, f"{path}:{lineno}")
         if value is not None:
             values[key] = value
     for key, value in (overrides or {}).items():
@@ -131,7 +136,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             continue
         if key not in _FIELDS:
             raise DataError(f"unknown config override {key!r}")
-        values[key] = _coerce(key, value) if isinstance(value, str) else value
+        values[key] = _coerce(key, value, "command line") if isinstance(value, str) else value
     cfg = RunConfig(**values)
     base = path.parent
     for name in _PATH_FIELDS:

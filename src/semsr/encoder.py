@@ -15,8 +15,19 @@ softmax-normalized into alpha, pooled into s' = sum_j alpha_j e_j, and the
 output is W3 [s'; e_L]. A length-1 prefix has an empty attention set, so
 s' = 0 and the output is W3 [0; e_L].
 
-Forward passes return caches consumed by the matching backward passes;
-gradients are derived by hand (no autodiff anywhere in the package).
+Every encoder works on a batch: rows (..., L, w) with any leading batch
+axes, one right-aligned prefix per batch entry, so the query is always
+rows[..., -1, :]. A shorter prefix is padded on the left with copies of
+one of its own rows, and `mask` (..., L-1) marks the head positions that
+are real. Masked positions get alpha = 0, so they add nothing to s' and
+receive no gradient; a prefix of length 1 is an all-masked head with
+s' = 0. Without a mask every position is real, and (L, w) rows are the
+no-batch case.
+
+Forward passes return caches consumed by the matching backward passes,
+which return weight gradients summed over the batch and one gradient per
+input row. Gradients are derived by hand (no autodiff anywhere in the
+package).
 """
 
 from dataclasses import dataclass
@@ -65,78 +76,62 @@ def init_attention_tensors(width: int, rng: np.random.Generator) -> dict[str, np
     return {name: rng.uniform(-stdv, stdv, size=shapes[name]) for name in ATTENTION_TENSORS}
 
 
-def attention_forward(rows: np.ndarray, p: AttentionParams):
-    """Run the attention encoder over prefix rows (L, w).
+def attention_forward(rows: np.ndarray, p: AttentionParams, mask: np.ndarray | None = None):
+    """Run the attention encoder over prefix rows (..., L, w).
 
-    Returns (out, alphas, cache). alphas is empty for L = 1.
+    `mask` (..., L-1) marks the real head positions; None means all.
+    Returns (out (..., w), alphas (..., L-1), cache).
     """
-    L, w = rows.shape
-    last = rows[-1]
-    if L == 1:
-        alphas = np.zeros(0)
-        s_prime = np.zeros(w)
-        h = np.zeros((0, w))
-    else:
-        head = rows[:-1]  # (L-1, w)
-        u = head @ p.W2.T + (p.W1 @ last + p.c)  # (L-1, w)
-        h = sigmoid(u)
-        raw = h @ p.q  # (L-1,)
-        alphas = softmax(raw)
-        s_prime = alphas @ head  # (w,)
-    cat = np.concatenate([s_prime, last])  # (2w,)
-    out = p.W3 @ cat  # (w,)
+    head, last = rows[..., :-1, :], rows[..., -1, :]
+    h = sigmoid(head @ p.W2.T + (last @ p.W1.T + p.c)[..., None, :])  # (..., L-1, w)
+    raw = h @ p.q  # (..., L-1)
+    if mask is not None:
+        raw = np.where(mask, raw, -np.inf)
+    mx = np.max(raw, axis=-1, keepdims=True, initial=-np.inf)
+    ex = np.exp(raw - np.where(np.isneginf(mx), 0.0, mx))
+    total = np.sum(ex, axis=-1, keepdims=True)
+    alphas = ex / np.where(total == 0, 1.0, total)  # all zero for an empty head
+    s_prime = (alphas[..., None, :] @ head)[..., 0, :]  # (..., w)
+    cat = np.concatenate([s_prime, last], axis=-1)  # (..., 2w)
+    out = cat @ p.W3.T  # (..., w)
     cache = {"rows": rows, "h": h, "alphas": alphas, "cat": cat, "params": p}
     return out, alphas, cache
+
+
+def _batch_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over every leading axis of outer(a, b): (..., i), (..., j) -> (i, j)."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
 def attention_backward(cache: dict, d_out: np.ndarray):
     """Backward pass of attention_forward.
 
-    Returns (grads, d_rows): grads maps q/c/W1/W2/W3 to their gradients and
-    d_rows (L, w) is the gradient with respect to the input rows.
+    Returns (grads, d_rows): grads maps q/c/W1/W2/W3 to their gradients
+    summed over the batch, and d_rows (..., L, w) is the gradient with
+    respect to the input rows (zero at masked positions).
     """
     p: AttentionParams = cache["params"]
     rows, h, alphas, cat = cache["rows"], cache["h"], cache["alphas"], cache["cat"]
-    L, w = rows.shape
-    last = rows[-1]
+    w = rows.shape[-1]
+    head, last = rows[..., :-1, :], rows[..., -1, :]
 
-    dW3 = np.outer(d_out, cat)
-    dcat = p.W3.T @ d_out
-    ds_prime, dlast = dcat[:w], dcat[w:].copy()
-
-    grads = {"W3": dW3}
-    d_rows = np.zeros_like(rows)
-    if L > 1:
-        head = rows[:-1]
-        dalphas = head @ ds_prime  # (L-1,)
-        dhead = np.outer(alphas, ds_prime)  # (L-1, w)
-        # softmax jacobian: da = alpha * (dalpha - <alpha, dalpha>)
-        draw = alphas * (dalphas - alphas @ dalphas)
-        grads["q"] = h.T @ draw
-        dh = np.outer(draw, p.q)
-        du = dh * h * (1.0 - h)
-        grads["W1"] = np.outer(du.sum(axis=0), last)
-        grads["W2"] = du.T @ head
-        grads["c"] = du.sum(axis=0)
-        dlast += p.W1.T @ du.sum(axis=0)
-        dhead += du @ p.W2
-        d_rows[:-1] = dhead
-    else:
-        grads["q"] = np.zeros_like(p.q)
-        grads["c"] = np.zeros_like(p.c)
-        grads["W1"] = np.zeros_like(p.W1)
-        grads["W2"] = np.zeros_like(p.W2)
-    d_rows[-1] += dlast
-    return grads, d_rows
-
-
-def encode_semantic_session(prefix, semantic_table, attn: AttentionParams):
-    """Semantic session embedding s_l (d2,) plus the attention weights."""
-    if len(prefix) == 0:
-        raise DataError("prefix must be non-empty")
-    rows = semantic_table.matrix[np.asarray(prefix, dtype=np.intp)]
-    out, alphas, _ = attention_forward(rows, attn)
-    return out, alphas
+    dcat = d_out @ p.W3  # (..., 2w)
+    ds_prime, dlast = dcat[..., :w], dcat[..., w:]
+    dalphas = (head @ ds_prime[..., None])[..., 0]  # (..., L-1)
+    # softmax jacobian: da = alpha * (dalpha - <alpha, dalpha>)
+    draw = alphas * (dalphas - np.sum(alphas * dalphas, axis=-1, keepdims=True))
+    du = draw[..., None] * p.q * h * (1.0 - h)  # (..., L-1, w)
+    du_sum = du.sum(axis=-2)  # (..., w)
+    grads = {
+        "q": _batch_sum(draw[..., None], h)[0],
+        "c": du_sum.reshape(-1, w).sum(axis=0),
+        "W1": _batch_sum(du_sum, last),
+        "W2": _batch_sum(du, head),
+        "W3": _batch_sum(d_out, cat),
+    }
+    dhead = alphas[..., None] * ds_prime[..., None, :] + du @ p.W2
+    dlast = dlast + du_sum @ p.W1
+    return grads, np.concatenate([dhead, dlast[..., None, :]], axis=-2)
 
 
 def _normalize_rows(rows: np.ndarray, what: str):
@@ -146,22 +141,16 @@ def _normalize_rows(rows: np.ndarray, what: str):
     return rows / norms, norms
 
 
-@dataclass
-class BackboneParams:
-    """Opaque parameter collection theta for a registered backbone."""
-
-    key: str
-    tensors: dict[str, np.ndarray]
-    scale: float = 16.0
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise DataError("backbone scale must be positive")
-
-
 class AttnNiserBackbone:
     """Reference backbone: the attention encoder at width d1 over
-    L2-normalized trainable rows, output L2-normalized."""
+    L2-normalized trainable rows, output L2-normalized.
+
+    A backbone is any class with a registry `key` and three static
+    methods, batched like the attention: init_params(d1, rng) -> tensors;
+    forward(raw_rows (..., L, d1), tensors, mask=None) -> (s_m (..., d1),
+    cache); backward(cache, d_out (..., d1)) -> (grads summed over the
+    batch, d_raw (..., L, d1)).
+    """
 
     key = "attn-niser"
 
@@ -170,12 +159,12 @@ class AttnNiserBackbone:
         return init_attention_tensors(d1, rng)
 
     @staticmethod
-    def forward(raw_rows: np.ndarray, tensors: dict[str, np.ndarray]):
+    def forward(raw_rows: np.ndarray, tensors: dict[str, np.ndarray], mask: np.ndarray | None = None):
         v, norms = _normalize_rows(raw_rows, "trainable item table")
         p = AttentionParams(**{k: tensors[k] for k in ATTENTION_TENSORS})
-        z, _, attn_cache = attention_forward(v, p)
-        zn = np.linalg.norm(z)
-        if zn == 0:
+        z, _, attn_cache = attention_forward(v, p, mask)
+        zn = np.linalg.norm(z, axis=-1, keepdims=True)
+        if np.any(zn == 0):
             raise NumericError("zero-norm backbone output before normalization")
         s_m = z / zn
         cache = {"attn": attn_cache, "v": v, "norms": norms, "z_norm": zn, "s_m": s_m}
@@ -184,10 +173,10 @@ class AttnNiserBackbone:
     @staticmethod
     def backward(cache: dict, d_out: np.ndarray):
         s_m, zn = cache["s_m"], cache["z_norm"]
-        dz = (d_out - s_m * (s_m @ d_out)) / zn
+        dz = (d_out - s_m * np.sum(s_m * d_out, axis=-1, keepdims=True)) / zn
         grads, dv = attention_backward(cache["attn"], dz)
         v, norms = cache["v"], cache["norms"]
-        d_raw = (dv - v * np.sum(v * dv, axis=1, keepdims=True)) / norms
+        d_raw = (dv - v * np.sum(v * dv, axis=-1, keepdims=True)) / norms
         return grads, d_raw
 
 
@@ -204,12 +193,3 @@ def get_backbone(key: str):
     if key not in BACKBONES:
         raise DataError(f"unknown backbone {key!r}; registered: {sorted(BACKBONES)}")
     return BACKBONES[key]
-
-
-def encode_backbone_session(prefix, trainable_matrix: np.ndarray, bp: BackboneParams) -> np.ndarray:
-    """Data-driven session embedding s_m (d1,) from the configured backbone."""
-    if len(prefix) == 0:
-        raise DataError("prefix must be non-empty")
-    rows = trainable_matrix[np.asarray(prefix, dtype=np.intp)]
-    s_m, _ = get_backbone(bp.key).forward(rows, bp.tensors)
-    return s_m

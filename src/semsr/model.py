@@ -24,9 +24,7 @@ from .embeddings import SemanticItemTable, fit_projection, init_trainable
 from .encoder import (
     ATTENTION_TENSORS,
     AttentionParams,
-    BackboneParams,
     attention_forward,
-    encode_backbone_session,
     get_backbone,
     init_attention_tensors,
     softmax,
@@ -52,10 +50,6 @@ class ModelParams:
     @property
     def n(self) -> int:
         return self.tensors["item_table"].shape[0]
-
-    def backbone_params(self) -> BackboneParams:
-        theta = {k: self.tensors[f"bb.{k}"] for k in ATTENTION_TENSORS}
-        return BackboneParams(key=self.backbone, tensors=theta, scale=self.scale)
 
     def attention_params(self) -> AttentionParams:
         return AttentionParams(**{k: self.tensors[f"attn.{k}"] for k in ATTENTION_TENSORS})
@@ -89,6 +83,7 @@ def init_model(
     """
     if variant not in VARIANTS:
         raise DataError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    _check_scale(scale)
     if init_mode == "auto":
         init_mode = "semantic-projected" if variant == "sem-i" else "random"
     if init_mode == "semantic-projected" and semantic is None:
@@ -120,6 +115,11 @@ def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_scale(scale: float) -> None:
+    if not scale > 0:
+        raise DataError(f"scale must be positive, got {scale}")
+
+
 def normalized_item_matrix(params: ModelParams):
     """(G, norms): L2-normalized trainable rows used by base/sem-i scoring."""
     table = params.tensors["item_table"]
@@ -130,41 +130,56 @@ def normalized_item_matrix(params: ModelParams):
 
 
 def fused_item_matrix(params: ModelParams, semantic: SemanticItemTable) -> np.ndarray:
-    """Semantic-aware item embeddings: row k is W5 [i_m_k; i_l_k], (n, d)."""
+    """Semantic-aware item embeddings: row k is W5 [i_m_k; i_l_k], (n, d),
+    computed block by block so [i_m; i_l] is never materialized."""
     if semantic is None:
         raise DataError("sem-f scoring needs the semantic table at every forward pass")
-    W5 = params.tensors["W5"]
-    cat = np.concatenate([params.tensors["item_table"], semantic.matrix], axis=1)
-    return _check_finite("fused item embeddings", cat @ W5.T)
+    table, W5 = params.tensors["item_table"], params.tensors["W5"]
+    d1 = table.shape[1]
+    return _check_finite("fused item embeddings", table @ W5[:, :d1].T + semantic.matrix @ W5[:, d1:].T)
 
 
-def session_embeddings(prefix, params: ModelParams, semantic: SemanticItemTable | None):
-    """(s_m, s_l, s): s_l and s are None outside sem-f."""
-    s_m = encode_backbone_session(prefix, params.tensors["item_table"], params.backbone_params())
-    _check_finite("session embedding s_m", s_m)
-    if params.variant != "sem-f":
-        return s_m, None, None
-    if semantic is None:
-        raise DataError("sem-f scoring needs the semantic table at every forward pass")
-    rows = semantic.matrix[np.asarray(prefix, dtype=np.intp)]
-    s_l, _, _ = attention_forward(rows, params.attention_params())
-    _check_finite("session embedding s_l", s_l)
-    s = params.tensors["W4"] @ np.concatenate([s_m, s_l])
-    return s_m, s_l, _check_finite("fused session embedding", s)
+def item_matrix(params: ModelParams, semantic: SemanticItemTable | None):
+    """(M, norms): the rows every session is scored against -- the fused
+    rows for sem-f (norms None), else the normalized trainable rows."""
+    if params.variant == "sem-f":
+        return fused_item_matrix(params, semantic), None
+    return normalized_item_matrix(params)
+
+
+def forward(prefixes, params: ModelParams, semantic: SemanticItemTable | None, items):
+    """Logits (B, n) of a batch of prefixes against `items` (from
+    item_matrix), plus the cache the training backward pass reads.
+
+    Prefixes are right-aligned in one (B, L) index matrix; a shorter one
+    is padded on the left with its own first item, masked out of the
+    attention.
+    """
+    lengths = np.array([len(p) for p in prefixes])
+    if np.any(lengths == 0):
+        raise DataError("prefix must be non-empty")
+    L = int(lengths.max())
+    idx = np.array([[p[0]] * (L - len(p)) + list(p) for p in prefixes], dtype=np.intp)
+    mask = np.arange(L - 1) >= (L - lengths)[:, None]  # (B, L-1): real head positions
+    theta = {k: params.tensors[f"bb.{k}"] for k in ATTENTION_TENSORS}
+    S_m, bb_cache = get_backbone(params.backbone).forward(params.tensors["item_table"][idx], theta, mask)
+    _check_finite("session embedding s_m", S_m)
+    cache = {"idx": idx, "bb": bb_cache, "items": items}
+    if params.variant == "sem-f":
+        S_l, _, cache["attn"] = attention_forward(semantic.matrix[idx], params.attention_params(), mask)
+        _check_finite("session embedding s_l", S_l)
+        cache["cat"] = np.concatenate([S_m, S_l], axis=1)  # (B, d1+d2)
+        S = _check_finite("fused session embedding", cache["cat"] @ params.tensors["W4"].T)
+    else:
+        S = params.scale * S_m
+    cache["S"] = S
+    return _check_finite("logits", S @ items[0].T), cache
 
 
 def score_all(prefix, params: ModelParams, semantic: SemanticItemTable | None = None) -> np.ndarray:
     """Relevance probabilities over all n items for one prefix (sums to 1)."""
-    if len(prefix) == 0:
-        raise DataError("prefix must be non-empty")
-    s_m, _, s = session_embeddings(prefix, params, semantic)
-    if params.variant == "sem-f":
-        logits = fused_item_matrix(params, semantic) @ s
-    else:
-        G, _ = normalized_item_matrix(params)
-        logits = params.scale * (G @ s_m)
-    _check_finite("logits", logits)
-    return _check_finite("probabilities", softmax(logits))
+    logits, _ = forward([prefix], params, semantic, item_matrix(params, semantic))
+    return _check_finite("probabilities", softmax(logits[0]))
 
 
 def top_k(scores: np.ndarray, k: int) -> RankedList:
@@ -183,40 +198,23 @@ def rank_examples(
     k: int,
     chunk: int = 256,
 ) -> list[RankedList]:
-    """Score and rank a batch of examples, caching the item-side matrix
-    once (inference-time behavior)."""
-    if params.variant == "sem-f":
-        item_side = fused_item_matrix(params, semantic)
-    else:
-        item_side, _ = normalized_item_matrix(params)
+    """Score and rank a batch of examples, building the item-side matrix
+    once and encoding each chunk of examples in one batched forward."""
+    items = item_matrix(params, semantic)
     out: list[RankedList] = []
     for start in range(0, len(examples), chunk):
-        block = examples[start : start + chunk]
-        sess = []
-        for ex in block:
-            s_m, _, s = session_embeddings(ex.prefix, params, semantic)
-            sess.append(s if params.variant == "sem-f" else params.scale * s_m)
-        logits = np.stack(sess) @ item_side.T  # (B, n)
-        _check_finite("logits", logits)
-        probs = softmax(logits, axis=1)
-        for row in probs:
-            out.append(top_k(row, k))
+        logits, _ = forward([ex.prefix for ex in examples[start : start + chunk]], params, semantic, items)
+        out.extend(top_k(row, k) for row in softmax(logits, axis=1))
     return out
+
+
+_MANIFEST = {"variant": str, "backbone": str, "d1": int, "d2": int, "d": int, "scale": float, "seed": int, "step": int}
 
 
 def save_checkpoint(directory, params: ModelParams) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "variant": params.variant,
-        "backbone": params.backbone,
-        "d1": params.d1,
-        "d2": params.d2,
-        "d": params.d,
-        "scale": params.scale,
-        "seed": params.seed,
-        "step": params.step,
-    }
+    manifest = {key: getattr(params, key) for key in _MANIFEST}
     (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     for name, tensor in params.tensors.items():
         _write_tensor(directory / f"{name}.bin", tensor)
@@ -227,11 +225,18 @@ def load_checkpoint(directory) -> ModelParams:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"checkpoint manifest not found: {manifest_path}")
-    m = json.loads(manifest_path.read_text())
-    params = ModelParams(
-        variant=m["variant"], backbone=m["backbone"], d1=int(m["d1"]), d2=int(m["d2"]),
-        d=int(m["d"]), scale=float(m["scale"]), seed=int(m["seed"]), step=int(m["step"]),
-    )
+    try:
+        m = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise DataError(f"{manifest_path}: not valid JSON ({exc})") from None
+    fields = {}
+    for key, typ in _MANIFEST.items():
+        try:
+            fields[key] = typ(m[key])
+        except (KeyError, TypeError, ValueError):
+            raise DataError(f"{manifest_path}: {key!r} is missing or not a {typ.__name__}") from None
+    _check_scale(fields["scale"])
+    params = ModelParams(**fields)
     for blob in sorted(directory.glob("*.bin")):
         params.tensors[blob.name[: -len(".bin")]] = _read_tensor(blob)
     if "item_table" not in params.tensors:

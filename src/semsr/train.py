@@ -1,32 +1,36 @@
 """Cross-entropy training with hand-derived reverse-mode gradients.
 
-The loss for one example is -log p_target with p = softmax(logits). The
-backward pass threads that through:
+The loss for one example is -log p_target with p = softmax(logits). One
+batched forward (model.forward) encodes every prefix of the batch at once,
+and the backward pass threads d(logits) = p - y back through it:
 
-  scoring        d(logits) = p - y, then for base/sem-i through the scale
-                 and the per-row normalization of the item table, or for
-                 sem-f through W5/W4 and the fused embeddings
-  session side   the backbone backward (normalization jacobians around
-                 the attention core) and, for sem-f, the semantic
-                 attention backward
+  scoring        for base/sem-i through the scale and the per-row
+                 normalization of the item table, or for sem-f through
+                 W5/W4 and the two blocks of the fused embeddings
+  session side   one batched backbone backward (normalization jacobians
+                 around the masked attention core) and, for sem-f, one
+                 batched semantic attention backward; weight gradients
+                 come back summed over the batch
 
 The softmax over all n items gives every item-table row a gradient (the
 scoring side is dense); prefix rows additionally receive the sparse
-session-side contribution. Gradients are batch means. The semantic table
-is frozen and never receives a gradient.
+session-side contribution, scattered with one np.add.at (padding rows
+carry exactly zero). Gradients are batch means. The semantic table is
+frozen and never receives a gradient.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embeddings import SemanticItemTable
-from .encoder import ATTENTION_TENSORS, attention_backward, attention_forward, get_backbone
+from .encoder import ATTENTION_TENSORS, attention_backward, get_backbone
+from .encoder import attention_forward  # noqa: F401 -- not called here; bench/tracing.py patches it
 from .errors import DataError, NumericError
 from .metrics import recall_at_k
-from .model import ModelParams, normalized_item_matrix, rank_examples
+from .model import ModelParams, forward, item_matrix, rank_examples
+from .model import normalized_item_matrix  # noqa: F401 -- not called here; bench/tracing.py patches it
 
 
 @dataclass
@@ -56,63 +60,18 @@ class TrainingDiverged(NumericError):
         self.history = history
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def loss_and_grad(
-    batch,
-    params: ModelParams,
-    semantic: SemanticItemTable | None = None,
-    threads: int = 1,
-):
+def loss_and_grad(batch, params: ModelParams, semantic: SemanticItemTable | None = None):
     """Mean cross-entropy over the batch plus gradients for every trainable
-    tensor. Per-example passes can run on a thread pool; the reduction
-    order is fixed, so results are identical to the sequential path."""
+    tensor, from one batched forward and one batched backward."""
     if not batch:
         raise DataError("empty batch")
     n = params.n
-    for ex in batch:
-        if len(ex.prefix) == 0:
-            raise DataError("example with empty prefix")
-        if not 0 <= ex.target < n:
-            raise DataError(f"target {ex.target} out of range 0..{n - 1}")
-    B = len(batch)
-    sem_f = params.variant == "sem-f"
-    if sem_f and semantic is None:
-        raise DataError("sem-f training needs the semantic table")
-    backbone = get_backbone(params.backbone)
-    bb_tensors = {k: params.tensors[f"bb.{k}"] for k in ATTENTION_TENSORS}
-    attn = params.attention_params() if sem_f else None
-    item_table = params.tensors["item_table"]
-
-    def forward_one(ex):
-        idx = np.asarray(ex.prefix, dtype=np.intp)
-        s_m, bb_cache = backbone.forward(item_table[idx], bb_tensors)
-        if not sem_f:
-            return s_m, bb_cache, None, None
-        s_l, _, attn_cache = attention_forward(semantic.matrix[idx], attn)
-        return s_m, bb_cache, s_l, attn_cache
-
-    fwd = _map_ordered(forward_one, batch, threads)
-    S_m = np.stack([f[0] for f in fwd])  # (B, d1)
     targets = np.array([ex.target for ex in batch])
-
-    if sem_f:
-        S_l = np.stack([f[2] for f in fwd])  # (B, d2)
-        cat_s = np.concatenate([S_m, S_l], axis=1)  # (B, d1+d2)
-        S = cat_s @ params.tensors["W4"].T  # (B, d)
-        cat_i = np.concatenate([item_table, semantic.matrix], axis=1)  # (n, d1+d2)
-        F = cat_i @ params.tensors["W5"].T  # (n, d)
-        logits = S @ F.T  # (B, n)
-    else:
-        G, norms = normalized_item_matrix(params)
-        logits = params.scale * (S_m @ G.T)  # (B, n)
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits")
+    bad = targets[(targets < 0) | (targets >= n)]
+    if bad.size:
+        raise DataError(f"target {bad[0]} out of range 0..{n - 1}")
+    B = len(batch)
+    logits, cache = forward([ex.prefix for ex in batch], params, semantic, item_matrix(params, semantic))
 
     mx = logits.max(axis=1, keepdims=True)
     lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
@@ -121,40 +80,32 @@ def loss_and_grad(
     if not math.isfinite(mean_loss):
         raise NumericError("non-finite loss")
 
-    P = np.exp(logits - lse[:, None])
-    delta = P.copy()
+    delta = np.exp(logits - lse[:, None])
     delta[np.arange(B), targets] -= 1.0
     delta /= B  # (B, n): gradient of the mean loss wrt logits
 
-    grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-
-    if sem_f:
-        dS = delta @ F  # (B, d)
-        dF = delta.T @ S  # (n, d)
-        grads["W5"] += dF.T @ cat_i
-        grads["item_table"] += dF @ params.tensors["W5"][:, : params.d1]
-        grads["W4"] += dS.T @ cat_s
-        dcat_s = dS @ params.tensors["W4"]  # (B, d1+d2)
-        dS_m = dcat_s[:, : params.d1]
-        dS_l = dcat_s[:, params.d1 :]
+    M, norms = cache["items"]
+    dS = delta @ M  # (B, d) for sem-f, else (B, d1) before the scale
+    dM = delta.T @ cache["S"]  # (n, d) or (n, d1)
+    grads = {}
+    if params.variant == "sem-f":
+        table, W4, W5 = params.tensors["item_table"], params.tensors["W4"], params.tensors["W5"]
+        d1 = table.shape[1]
+        grads["W5"] = np.concatenate([dM.T @ table, dM.T @ semantic.matrix], axis=1)
+        grads["item_table"] = dM @ W5[:, :d1]
+        grads["W4"] = dS.T @ cache["cat"]
+        dcat_s = dS @ W4  # (B, d1+d2)
+        dS_m, dS_l = dcat_s[:, :d1], dcat_s[:, d1:]
+        attn_grads, _ = attention_backward(cache["attn"], dS_l)
+        grads.update({f"attn.{k}": attn_grads[k] for k in ATTENTION_TENSORS})
     else:
-        dS_m = params.scale * (delta @ G)  # (B, d1)
-        dG = params.scale * (delta.T @ S_m)  # (n, d1)
+        dS_m = params.scale * dS
         # normalization jacobian per row: dr = (dG - g <g, dG>) / |r|
-        grads["item_table"] += (dG - G * np.sum(G * dG, axis=1, keepdims=True)) / norms
+        grads["item_table"] = (dM - M * np.sum(M * dM, axis=1, keepdims=True)) / norms
 
-    def backward_one(i):
-        _, bb_cache, _, attn_cache = fwd[i]
-        bb_grads, d_raw = backbone.backward(bb_cache, dS_m[i])
-        attn_grads = attention_backward(attn_cache, dS_l[i])[0] if sem_f else None
-        return bb_grads, d_raw, attn_grads
-
-    for i, (bb_grads, d_raw, attn_grads) in enumerate(_map_ordered(backward_one, range(B), threads)):
-        np.add.at(grads["item_table"], np.asarray(batch[i].prefix, dtype=np.intp), d_raw)
-        for k in ATTENTION_TENSORS:
-            grads[f"bb.{k}"] += bb_grads[k]
-            if attn_grads is not None:
-                grads[f"attn.{k}"] += attn_grads[k]
+    bb_grads, d_raw = get_backbone(params.backbone).backward(cache["bb"], dS_m)
+    grads.update({f"bb.{k}": bb_grads[k] for k in ATTENTION_TENSORS})
+    np.add.at(grads["item_table"], cache["idx"], d_raw)
 
     grad_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     return LossReport(mean_loss=mean_loss, batch_size=B, grad_norm=grad_norm), grads
@@ -210,7 +161,6 @@ def fit(
     patience: int = 5,
     seed: int = 0,
     val_k: int = 100,
-    threads: int = 1,
 ):
     """Epoch loop with seeded shuffling, keeping the checkpoint that is
     best on validation recall. Returns (best_params, history).
@@ -242,7 +192,7 @@ def fit(
         for start in range(0, len(train_examples), batch_size):
             chunk = [train_examples[i] for i in perm[start : start + batch_size]]
             try:
-                report, grads = loss_and_grad(chunk, params, semantic, threads=threads)
+                report, grads = loss_and_grad(chunk, params, semantic)
             except NumericError as exc:
                 raise TrainingDiverged(str(exc), best_params(), history) from exc
             adam_step(params, grads, state)

@@ -16,12 +16,7 @@ from oracles import numeric_grad, rel_err, scalar_score_all
 from semsr.cli import main
 from semsr.dataset import Example
 from semsr.embeddings import fingerprint_matrix
-from semsr.encoder import (
-    AttentionParams,
-    attention_forward,
-    encode_backbone_session,
-    init_attention_tensors,
-)
+from semsr.encoder import AttentionParams, attention_forward, get_backbone, init_attention_tensors
 from semsr.llm import build_fewshot_strategy, build_prompt, load_templates, prompt_hash
 from semsr.metrics import evaluate, recall_at_k, rr_at_k
 from semsr.model import init_model, rank_examples, save_checkpoint, score_all
@@ -132,12 +127,13 @@ def test_criterion_3_normalization():
         cfg = {"n": 30, "d1": 5, "d2": 8, "d": 6}
         params, semantic = _model_at_generic_point(variant, cfg, seed=1)
         sem = semantic if variant == "sem-f" else None
-        bp = params.backbone_params()
+        backbone = get_backbone(params.backbone)
+        theta = {k: params.tensors[f"bb.{k}"] for k in ("q", "c", "W1", "W2", "W3")}
         for _ in range(500):
             prefix = [int(x) for x in rng.integers(0, 30, size=rng.integers(1, 8))]
             probs = score_all(prefix, params, sem)
             assert abs(probs.sum() - 1.0) < 1e-6
-            s_m = encode_backbone_session(prefix, params.tensors["item_table"], bp)
+            s_m, _ = backbone.forward(params.tensors["item_table"][prefix], theta)
             assert abs(np.linalg.norm(s_m) - 1.0) < 1e-6
     # index rows: 1000 random rows at random scales
     index = build_index(rng.standard_normal((1000, 24)) * rng.uniform(0.05, 20.0, (1000, 1)))
@@ -240,7 +236,7 @@ def test_criterion_6_fusion_benefit():
         )
         best, _ = fit(
             train_examples, [], params, semantic if variant == "sem-f" else None,
-            epochs=4, batch_size=100, lr=0.001, seed=seed, threads=1,
+            epochs=4, batch_size=100, lr=0.001, seed=seed,
         )
         assert time.monotonic() - started < 300, f"{variant} training exceeded 5 minutes"
         ranked = rank_examples(best, semantic if variant == "sem-f" else None, test_examples, 100)

@@ -42,6 +42,21 @@ class TestConfig:
         cfg = load_config(f)
         assert cfg.data_dir == str(tmp_path / "data")
 
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n# run.cfg\n", 1)[1].split("```", 1)[0]
+        f = tmp_path / "run.cfg"
+        f.write_text("# run.cfg\n" + block)
+        cfg = load_config(f)
+        assert cfg.data_dir == str(tmp_path / "data")
+        assert cfg.d2 == 1024 and cfg.out_dir == str(tmp_path / "runs" / "base")
+        assert cfg.ks == (20, 100) and cfg.min_item_freq == 2
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("mock_default = item#7  # trailing comment\n")
+        assert load_config(f).mock_default == "item#7"
+
     def test_bad_variant_rejected(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("variant = fancy\n")
@@ -162,6 +177,18 @@ class TestTrainEvalCommands:
     def test_eval_without_checkpoint_is_exit_2(self, workspace):
         assert main(["eval", "--config", str(workspace / "run.cfg")]) == 2
 
+    def test_eval_with_manifest_key_missing_is_exit_2(self, workspace, capsys):
+        cfg = str(workspace / "run.cfg")
+        assert main(["train", "--config", cfg, "--variant", "base", "--out", str(workspace / "base")]) == 0
+        manifest = workspace / "base" / "checkpoint" / "manifest.json"
+        fields = json.loads(manifest.read_text())
+        del fields["d1"]
+        manifest.write_text(json.dumps(fields))
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--checkpoint", str(manifest.parent)]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "'d1'" in err
+
     def test_divergence_is_exit_1_with_checkpoint_retained(self, workspace, capsys):
         cfg = workspace / "diverge.cfg"
         cfg.write_text(BASE_CFG + "lr = 1e200\nvariant = sem-f\n")
@@ -224,6 +251,25 @@ class TestPromptCommand:
 class TestExitCodes:
     def test_missing_config_is_exit_2(self):
         assert main(["train", "--config", "/nonexistent/run.cfg"]) == 2
+
+    def test_bad_config_value_is_exit_2_naming_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = base\nd1 = lots  # not a number\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2:" in err and "d1" in err
+        assert "Traceback" not in err
+
+    def test_bad_flag_value_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = base\n")
+        assert main(["train", "--config", str(cfg), "--k", "20,lots"]) == 2
+        assert "command line: bad value for ks" in capsys.readouterr().err
+
+    def test_threads_is_a_prompt_flag_only(self):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--config", "x", "--threads", "2"])
+        assert info.value.code == 2
 
     def test_unknown_command_is_argparse_error(self):
         with pytest.raises(SystemExit) as info:

@@ -5,11 +5,8 @@ from helpers import make_catalog, make_semantic
 from oracles import numeric_grad, rel_err, scalar_attention, scalar_backbone
 from semsr.encoder import (
     AttentionParams,
-    BackboneParams,
     attention_backward,
     attention_forward,
-    encode_backbone_session,
-    encode_semantic_session,
     get_backbone,
     init_attention_tensors,
     register_backbone,
@@ -17,6 +14,7 @@ from semsr.encoder import (
     softmax,
 )
 from semsr.errors import DataError
+from semsr.model import forward, init_model, item_matrix, load_checkpoint, save_checkpoint
 
 
 def hand_params(w: int) -> AttentionParams:
@@ -109,6 +107,36 @@ class TestAttentionBackward:
         assert max(rel_err(a, f) for a, f in zip(d_rows.reshape(-1), fd_rows)) < 1e-6
 
 
+class TestBatchedAttention:
+    def test_padded_batch_matches_unbatched_calls(self):
+        # right-aligned prefixes of lengths 1, 2, 4 and 6, left-padded with a
+        # copy of their own first row and masked: outputs, summed weight
+        # gradients and per-row gradients equal the one-prefix calls
+        rng = np.random.default_rng(21)
+        w, L = 5, 6
+        p = AttentionParams(**init_attention_tensors(w, rng))
+        lengths = (1, 2, 4, 6)
+        prefixes = [rng.standard_normal((length, w)) for length in lengths]
+        rows = np.stack([np.concatenate([np.repeat(x[:1], L - len(x), axis=0), x]) for x in prefixes])
+        mask = np.arange(L - 1) >= L - np.array(lengths)[:, None]
+        d_out = rng.standard_normal((len(lengths), w))
+        out, alphas, cache = attention_forward(rows, p, mask)
+        grads, d_rows = attention_backward(cache, d_out)
+        summed = {k: np.zeros_like(v) for k, v in grads.items()}
+        for i, x in enumerate(prefixes):
+            out_i, alphas_i, cache_i = attention_forward(x, p)
+            np.testing.assert_allclose(out[i], out_i, atol=1e-12)
+            np.testing.assert_allclose(alphas[i, L - len(x) :], alphas_i, atol=1e-12)
+            assert np.all(alphas[i, : L - len(x)] == 0)
+            grads_i, d_rows_i = attention_backward(cache_i, d_out[i])
+            np.testing.assert_allclose(d_rows[i, L - len(x) :], d_rows_i, atol=1e-12)
+            assert np.all(d_rows[i, : L - len(x)] == 0)
+            for k in summed:
+                summed[k] += grads_i[k]
+        for k in summed:
+            np.testing.assert_allclose(grads[k], summed[k], atol=1e-12)
+
+
 class TestSemanticEncoder:
     def test_output_width_is_d2(self):
         catalog = make_catalog(60)
@@ -116,35 +144,35 @@ class TestSemanticEncoder:
         p = AttentionParams(**init_attention_tensors(7, np.random.default_rng(1)))
         for L in (1, 2, 3, 10, 50):
             prefix = list(np.random.default_rng(L).integers(0, 60, size=L))
-            s_l, alphas = encode_semantic_session(prefix, semantic, p)
+            s_l, alphas, _ = attention_forward(semantic.matrix[prefix], p)
             assert s_l.shape == (7,)
             assert alphas.shape == (max(L - 1, 0),)
 
     def test_empty_prefix_rejected(self):
         catalog = make_catalog(3)
         semantic = make_semantic(catalog, 4)
-        p = AttentionParams(**init_attention_tensors(4, np.random.default_rng(0)))
+        params = init_model("sem-f", 3, 2, 4, 2, seed=0, semantic=semantic)
         with pytest.raises(DataError, match="non-empty"):
-            encode_semantic_session([], semantic, p)
+            forward([[1], []], params, semantic, item_matrix(params, semantic))
 
 
 class TestReferenceBackbone:
     def test_output_unit_norm(self):
         rng = np.random.default_rng(3)
-        bp = BackboneParams(key="attn-niser", tensors=init_attention_tensors(6, rng))
+        backbone = get_backbone("attn-niser")
+        tensors = init_attention_tensors(6, rng)
         table = rng.standard_normal((40, 6))
         for L in (1, 2, 5, 50):
             prefix = list(rng.integers(0, 40, size=L))
-            s_m = encode_backbone_session(prefix, table, bp)
+            s_m, _ = backbone.forward(table[prefix], tensors)
             assert s_m.shape == (6,)
             assert abs(np.linalg.norm(s_m) - 1.0) < 1e-6
 
     def test_length_one_formula(self):
         rng = np.random.default_rng(4)
         tensors = init_attention_tensors(3, rng)
-        bp = BackboneParams(key="attn-niser", tensors=tensors)
         table = rng.standard_normal((5, 3))
-        s_m = encode_backbone_session([2], table, bp)
+        s_m, _ = get_backbone("attn-niser").forward(table[[2]], tensors)
         last = table[2] / np.linalg.norm(table[2])
         z = tensors["W3"] @ np.concatenate([np.zeros(3), last])
         np.testing.assert_allclose(s_m, z / np.linalg.norm(z), atol=1e-12)
@@ -152,18 +180,22 @@ class TestReferenceBackbone:
     def test_matches_scalar_oracle(self):
         p = hand_params(2)
         tensors = {"q": p.q, "c": p.c, "W1": p.W1, "W2": p.W2, "W3": p.W3}
-        bp = BackboneParams(key="attn-niser", tensors=tensors)
         table = np.array([[0.5, 0.1], [-0.4, 0.9], [0.3, 0.3], [0.2, -0.7]])
-        s_m = encode_backbone_session([0, 3, 1], table, bp)
+        s_m, _ = get_backbone("attn-niser").forward(table[[0, 3, 1]], tensors)
         expected = scalar_backbone(
             [table[0].tolist(), table[3].tolist(), table[1].tolist()],
             {k: np.asarray(v).tolist() for k, v in tensors.items()},
         )
         np.testing.assert_allclose(s_m, expected, atol=1e-12)
 
-    def test_scale_must_be_positive(self):
+    def test_scale_must_be_positive(self, tmp_path):
         with pytest.raises(DataError, match="positive"):
-            BackboneParams(key="attn-niser", tensors={}, scale=0.0)
+            init_model("base", 4, 2, 2, 2, seed=0, scale=0.0)
+        save_checkpoint(tmp_path / "ckpt", init_model("base", 4, 2, 2, 2, seed=0))
+        manifest = tmp_path / "ckpt" / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"scale": 16.0', '"scale": -1.0'))
+        with pytest.raises(DataError, match="positive"):
+            load_checkpoint(tmp_path / "ckpt")
 
 
 class TestRegistry:

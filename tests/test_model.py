@@ -183,3 +183,18 @@ class TestCheckpoints:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             load_checkpoint(tmp_path / "nope")
+
+    @pytest.mark.parametrize("edit", [{"d": None}, {"step": "many"}, {"scale": [1.0]}])
+    def test_malformed_manifest_rejected(self, tmp_path, edit):
+        params, _ = small_model("base")
+        save_checkpoint(tmp_path / "ckpt", params)
+        path = tmp_path / "ckpt" / "manifest.json"
+        fields = json.loads(path.read_text())
+        for key, value in edit.items():
+            if value is None:
+                del fields[key]
+            else:
+                fields[key] = value
+        path.write_text(json.dumps(fields))
+        with pytest.raises(DataError, match="manifest.json"):
+            load_checkpoint(tmp_path / "ckpt")
