@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from pathlib import Path
 
 from . import dataset as ds
@@ -20,8 +21,8 @@ from .config import RunConfig, load_config
 from .embeddings import SemanticItemTable, load_semantic_table, pseudo_semantic_table
 from .errors import DataError, SemsrError
 from .llm import HttpClient, MockClient, build_fewshot_strategy, build_title_index, load_templates, recommend_via_llm
-from .metrics import evaluate, recall_at_k, rr_at_k, write_report
-from .model import init_model, load_checkpoint, rank_examples, save_checkpoint, score_all
+from .metrics import evaluate, recall_at_k, write_report
+from .model import init_model, load_checkpoint, rank_examples, save_checkpoint, score_chunks
 from .retrieval import read_candidates, rerank, write_candidates
 from .train import TrainingDiverged, fit
 
@@ -142,36 +143,35 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_rerank(cfg: RunConfig) -> int:
-    candidates = read_candidates(_require(cfg.candidates, "candidates"))
+    path = _require(cfg.candidates, "candidates")
+    candidates = read_candidates(path)
     ranker = load_checkpoint(_require(cfg.ranker_checkpoint, "ranker_checkpoint"))
     catalog, splits = _load_data_dir(cfg)
     examples = ds.expand_incremental(splits["test"])
     if len(candidates) != len(examples):
-        raise DataError(f"{len(candidates)} candidate lists but {len(examples)} test examples")
-    semantic = _semantic_table(cfg, catalog, ranker.d2) if ranker.variant == "sem-f" else None
+        raise DataError(f"{path}: {len(candidates)} candidate lists but {len(examples)} test examples")
     ks = _clamped_ks(cfg, catalog.n)
+    if any(len(c) < max(ks) for c in candidates):
+        raise DataError(f"{path}: candidate lists shorter than K={max(ks)}")
+    if max(int(c.items.max()) for c in candidates) >= catalog.n:
+        raise DataError(f"{path}: candidate item outside the catalog of {catalog.n} items")
+    semantic = _semantic_table(cfg, catalog, ranker.d2) if ranker.variant == "sem-f" else None
 
+    # Ranker scores are consumed one chunk at a time; only the reranked heads are kept.
+    reranked = {k: [] for k in ks}
+    rows = chain.from_iterable(score_chunks([ex.prefix for ex in examples], ranker, semantic))
+    for scores, cand, ex in zip(rows, candidates, examples):
+        for k in ks:
+            head = rerank(cand, scores, k)
+            if recall_at_k(head, ex.target, k) != recall_at_k(cand, ex.target, k):
+                raise SemsrError(f"re-ranking changed recall at K={k}; candidate handling is broken")
+            reranked[k].append(head)
+    targets = [ex.target for ex in examples]
+    before = evaluate(candidates, targets, ks).per_k
     per_k = {}
     for k in ks:
-        if any(len(c) < k for c in candidates):
-            raise DataError(f"candidate lists shorter than K={k}")
-    ranker_scores = [score_all(ex.prefix, ranker, semantic) for ex in examples]
-    for k in ks:
-        rec_before, rec_after, rr_after, rr_before = [], [], [], []
-        for ex, cand, scores in zip(examples, candidates, ranker_scores):
-            reranked = rerank(cand, scores, k)
-            rec_before.append(recall_at_k(cand, ex.target, k))
-            rec_after.append(recall_at_k(reranked, ex.target, k))
-            rr_before.append(rr_at_k(cand, ex.target, k))
-            rr_after.append(rr_at_k(reranked, ex.target, k))
-        if rec_before != rec_after:
-            raise SemsrError(f"re-ranking changed recall at K={k}; candidate handling is broken")
-        m = len(examples)
-        per_k[str(k)] = {
-            "recall": sum(rec_after) / m,
-            "mrr": sum(rr_after) / m,
-            "mrr_before": sum(rr_before) / m,
-        }
+        after = evaluate(reranked[k], targets, (k,)).per_k[k]
+        per_k[str(k)] = {"recall": after["recall"], "mrr": after["mrr"], "mrr_before": before[k]["mrr"]}
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     payload = {"K": per_k, "n_examples": len(examples), "ranker_variant": ranker.variant, "seed": cfg.seed}

@@ -303,10 +303,13 @@ def load_catalog(path) -> Catalog:
         raise DataError(f"catalog file not found: {path}")
     items = []
     with path.open() as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                items.append(ItemMeta(**json.loads(line)))
+                try:
+                    items.append(ItemMeta(**json.loads(line)))
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"{path}:{lineno}: malformed catalog record ({exc})") from None
     return Catalog(items=items)
 
 
@@ -323,17 +326,19 @@ def load_sessions(path, split: str | None = None) -> list[Session]:
         raise DataError(f"split file not found: {path}")
     out = []
     with path.open() as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            out.append(
-                Session(
+            try:
+                rec = json.loads(line)
+                session = Session(
                     id=rec["session_id"],
                     items=[int(i) for i in rec["items"]],
                     user_id=rec.get("user_id"),
                     split=rec.get("split") or split,
                 )
-            )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: malformed session record ({exc!r})") from None
+            out.append(session)
     return out

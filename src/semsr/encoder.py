@@ -38,13 +38,10 @@ from .errors import DataError, NumericError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids overflow in exp for large |x|.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Piecewise form avoids overflow in exp for large |x|: 1 / (1 + e^-x)
+    # for x >= 0 and e^x / (1 + e^x) below, both with e = exp(-|x|).
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -176,10 +176,22 @@ def forward(prefixes, params: ModelParams, semantic: SemanticItemTable | None, i
     return _check_finite("logits", S @ items[0].T), cache
 
 
+SCORE_CHUNK = 256  # prefixes per batched forward when scoring
+
+
+def score_chunks(prefixes, params: ModelParams, semantic: SemanticItemTable | None = None):
+    """Yield relevance probabilities (B, n), each row summing to 1, for
+    consecutive chunks of `prefixes`, in order. The item-side matrix is
+    built once per call and each chunk is one batched forward."""
+    items = item_matrix(params, semantic)
+    for start in range(0, len(prefixes), SCORE_CHUNK):
+        logits, _ = forward(prefixes[start : start + SCORE_CHUNK], params, semantic, items)
+        yield _check_finite("probabilities", softmax(logits, axis=1))
+
+
 def score_all(prefix, params: ModelParams, semantic: SemanticItemTable | None = None) -> np.ndarray:
     """Relevance probabilities over all n items for one prefix (sums to 1)."""
-    logits, _ = forward([prefix], params, semantic, item_matrix(params, semantic))
-    return _check_finite("probabilities", softmax(logits[0]))
+    return next(score_chunks([prefix], params, semantic))[0]
 
 
 def top_k(scores: np.ndarray, k: int) -> RankedList:
@@ -191,21 +203,10 @@ def top_k(scores: np.ndarray, k: int) -> RankedList:
     return RankedList(items=order, scores=scores[order])
 
 
-def rank_examples(
-    params: ModelParams,
-    semantic: SemanticItemTable | None,
-    examples,
-    k: int,
-    chunk: int = 256,
-) -> list[RankedList]:
-    """Score and rank a batch of examples, building the item-side matrix
-    once and encoding each chunk of examples in one batched forward."""
-    items = item_matrix(params, semantic)
-    out: list[RankedList] = []
-    for start in range(0, len(examples), chunk):
-        logits, _ = forward([ex.prefix for ex in examples[start : start + chunk]], params, semantic, items)
-        out.extend(top_k(row, k) for row in softmax(logits, axis=1))
-    return out
+def rank_examples(params: ModelParams, semantic: SemanticItemTable | None, examples, k: int) -> list[RankedList]:
+    """Top-k lists of a batch of examples, scored by score_chunks."""
+    prefixes = [ex.prefix for ex in examples]
+    return [top_k(row, k) for block in score_chunks(prefixes, params, semantic) for row in block]
 
 
 _MANIFEST = {"variant": str, "backbone": str, "d1": int, "d2": int, "d": int, "scale": float, "seed": int, "step": int}
@@ -252,7 +253,9 @@ def _write_tensor(path: Path, tensor: np.ndarray) -> None:
 
 def _read_tensor(path: Path) -> np.ndarray:
     raw = path.read_bytes()
-    (rank,) = struct.unpack_from("<Q", raw, 0)
+    rank = int.from_bytes(raw[:8], "little")
+    if len(raw) < 8 + 8 * rank:
+        raise DataError(f"{path}: blob of {len(raw)} bytes is shorter than its header")
     dims = struct.unpack_from(f"<{rank}Q", raw, 8)
     data = np.frombuffer(raw, dtype="<f4", offset=8 + 8 * rank)
     expected = int(np.prod(dims)) if dims else 0

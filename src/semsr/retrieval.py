@@ -6,6 +6,7 @@ per line: {"example": <int>, "items": [<int>...], "scores": [<float>...]}.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,8 +91,8 @@ def rerank(candidates: RankedList, ranker_scores: np.ndarray, k: int) -> RankedL
         raise DataError(f"k={k} exceeds candidate list length {len(candidates)}")
     ranker_scores = np.asarray(ranker_scores, dtype=np.float64)
     head = candidates.items[:k]
-    if head.max() >= ranker_scores.shape[0]:
-        raise DataError(f"candidate item {int(head.max())} has no ranker score")
+    if head.min() < 0 or head.max() >= ranker_scores.shape[0]:
+        raise DataError(f"candidate items {int(head.min())}..{int(head.max())} have no ranker score")
     head_scores = ranker_scores[head]
     if not np.all(np.isfinite(head_scores)):
         raise DataError("non-finite ranker score for a candidate item")
@@ -106,7 +107,27 @@ def write_candidates(path, ranked_lists: list[RankedList]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _nonneg_int(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _candidate_record(rec, seen) -> tuple[int, RankedList]:
+    if not isinstance(rec, dict):
+        raise DataError("record is not a JSON object")
+    example, items, scores = rec.get("example"), rec.get("items"), rec.get("scores")
+    if not _nonneg_int(example) or example in seen:
+        raise DataError(f"'example' must be a new non-negative integer, got {example!r}")
+    if not isinstance(items, list) or not all(_nonneg_int(i) for i in items):
+        raise DataError("'items' must be a list of non-negative integers")
+    if not isinstance(scores, list) or len(scores) != len(items) or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in scores
+    ):
+        raise DataError("'scores' must be finite numbers, one per item")
+    return example, RankedList(items=np.array(items, dtype=np.int64), scores=np.array(scores, dtype=np.float64))
+
+
 def read_candidates(path) -> list[RankedList]:
+    """Candidate lists in example order; the example ids must be 0..m-1."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"candidate file not found: {path}")
@@ -117,11 +138,12 @@ def read_candidates(path) -> list[RankedList]:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                rl = RankedList(items=np.array(rec["items"]), scores=np.array(rec["scores"]))
-                out[int(rec["example"])] = rl
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed candidate record") from exc
+                example, ranked = _candidate_record(json.loads(line), out)
+            except (DataError, ValueError, OverflowError) as exc:
+                raise DataError(f"{path}:{lineno}: malformed candidate record ({exc})") from None
+            out[example] = ranked
     if not out:
         raise DataError(f"candidate file is empty: {path}")
-    return [out[i] for i in sorted(out)]
+    if max(out) != len(out) - 1:
+        raise DataError(f"{path}: example ids must be 0..{len(out) - 1}, found {max(out)}")
+    return [out[i] for i in range(len(out))]

@@ -1,14 +1,20 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semsr.dataset as ds
+from semsr import model
 from semsr.cli import main
 from semsr.config import RunConfig, load_config
+from semsr.embeddings import pseudo_semantic_table
 from semsr.errors import DataError
 from semsr.llm import build_fewshot_strategy, build_prompt, load_templates, prompt_hash
+from semsr.metrics import rr_at_k
+from semsr.model import load_checkpoint, score_all
+from semsr.retrieval import read_candidates, rerank
 
 
 class TestConfig:
@@ -189,6 +195,29 @@ class TestTrainEvalCommands:
         err = capsys.readouterr().err
         assert "manifest.json" in err and "'d1'" in err
 
+    @pytest.mark.parametrize(
+        "path, content, named",
+        [
+            ("base/checkpoint/item_table.bin", b"\x02\x00\x00\x00", "item_table.bin"),
+            ("data/test.jsonl", b'{"items": [0, 1], "split": "test"}\n', "test.jsonl:"),
+            ("data/catalog.json", b'{"id": "extra", "title": "t", "colour": "red"}\n', "catalog.json:"),
+        ],
+        ids=["short-blob", "session-without-id", "catalog-unknown-key"],
+    )
+    def test_malformed_artefact_is_exit_2_naming_the_file(self, workspace, capsys, path, content, named):
+        cfg = str(workspace / "run.cfg")
+        assert main(["train", "--config", cfg, "--variant", "base", "--out", str(workspace / "base")]) == 0
+        target = workspace / path
+        if target.suffix == ".bin":
+            target.write_bytes(content)
+        else:
+            target.write_bytes(target.read_bytes() + content)
+            named += str(len(target.read_text().splitlines()))
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--checkpoint", str(workspace / "base" / "checkpoint")]) == 2
+        err = capsys.readouterr().err
+        assert named in err and err.count("\n") == 1 and "Traceback" not in err
+
     def test_divergence_is_exit_1_with_checkpoint_retained(self, workspace, capsys):
         cfg = workspace / "diverge.cfg"
         cfg.write_text(BASE_CFG + "lr = 1e200\nvariant = sem-f\n")
@@ -199,26 +228,92 @@ class TestTrainEvalCommands:
         assert (workspace / "div" / "checkpoint" / "manifest.json").exists()
 
 
+def rerank_inputs(workspace, ranker_variant="base"):
+    """Train a ranker and a sem-i candidate model, dump its candidates."""
+    cfg = str(workspace / "run.cfg")
+    assert main(["train", "--config", cfg, "--variant", ranker_variant, "--out", str(workspace / "ranker")]) == 0
+    assert main(["train", "--config", cfg, "--variant", "sem-i", "--out", str(workspace / "cand")]) == 0
+    assert main([
+        "eval", "--config", cfg, "--checkpoint", str(workspace / "cand" / "checkpoint"),
+        "--out", str(workspace / "cand-eval"),
+        "--dump-candidates", str(workspace / "cand-eval" / "candidates.jsonl"),
+    ]) == 0
+    return workspace / "cand-eval" / "candidates.jsonl"
+
+
+def run_rerank(workspace, candidates, out="rerank"):
+    return main([
+        "rerank", "--config", str(workspace / "run.cfg"), "--candidates", str(candidates),
+        "--ranker-checkpoint", str(workspace / "ranker" / "checkpoint"), "--out", str(workspace / out),
+    ])
+
+
+def _first(recs, **fields):
+    return [{**recs[0], **fields}] + recs[1:]
+
+
+# Each entry breaks the parsed records of a good candidate file; n is the catalog size.
+BAD_CANDIDATES = {
+    "negative-item": lambda recs, n: _first(recs, items=[-1] + recs[0]["items"][1:]),
+    "fractional-item": lambda recs, n: _first(recs, items=[1.7] + recs[0]["items"][1:]),
+    "item-outside-catalog": lambda recs, n: _first(recs, items=[n] + recs[0]["items"][1:]),
+    "non-finite-score": lambda recs, n: _first(recs, scores=[float("nan")] + recs[0]["scores"][1:]),
+    "score-count": lambda recs, n: _first(recs, scores=recs[0]["scores"][:-1]),
+    "list-record": lambda recs, n: [[1, 2, 3]] + recs[1:],
+    "duplicate-example": lambda recs, n: recs[:1] + [{**recs[1], "example": 0}] + recs[2:],
+    "gap-in-example-ids": lambda recs, n: recs[:-1] + [{**recs[-1], "example": len(recs) + 4}],
+    "extra-example": lambda recs, n: recs + [{**recs[-1], "example": len(recs)}],
+}
+
+
 class TestRerankCommand:
     def test_rerank_preserves_recall(self, workspace):
-        cfg = str(workspace / "run.cfg")
-        assert main(["train", "--config", cfg, "--variant", "base", "--out", str(workspace / "ranker")]) == 0
-        assert main(["train", "--config", cfg, "--variant", "sem-i", "--out", str(workspace / "cand")]) == 0
-        assert main([
-            "eval", "--config", cfg, "--checkpoint", str(workspace / "cand" / "checkpoint"),
-            "--out", str(workspace / "cand-eval"),
-            "--dump-candidates", str(workspace / "cand-eval" / "candidates.jsonl"),
-        ]) == 0
-        assert main([
-            "rerank", "--config", cfg,
-            "--candidates", str(workspace / "cand-eval" / "candidates.jsonl"),
-            "--ranker-checkpoint", str(workspace / "ranker" / "checkpoint"),
-            "--out", str(workspace / "rerank"),
-        ]) == 0
+        candidates = rerank_inputs(workspace)
+        assert run_rerank(workspace, candidates) == 0
         rerank_report = json.loads((workspace / "rerank" / "rerank_report.json").read_text())
         eval_report = json.loads((workspace / "cand-eval" / "report.json").read_text())
         for k in ("5", "10"):
-            assert rerank_report["K"][k]["recall"] == pytest.approx(eval_report["K"][k]["recall"])
+            assert rerank_report["K"][k]["recall"] == eval_report["K"][k]["recall"]
+
+    @pytest.mark.parametrize("ranker_variant", ["base", "sem-f"])
+    def test_mrr_matches_per_example_oracle(self, workspace, monkeypatch, ranker_variant):
+        candidates = rerank_inputs(workspace, ranker_variant)
+        monkeypatch.setattr(model, "SCORE_CHUNK", 3)
+        assert run_rerank(workspace, candidates) == 0
+        report = json.loads((workspace / "rerank" / "rerank_report.json").read_text())
+
+        ranker = load_checkpoint(workspace / "ranker" / "checkpoint")
+        catalog = ds.load_catalog(workspace / "data" / "catalog.json")
+        semantic = pseudo_semantic_table(catalog, ranker.d2) if ranker_variant == "sem-f" else None
+        examples = ds.expand_incremental(ds.load_sessions(workspace / "data" / "test.jsonl", split="test"))
+        assert len(examples) > 3  # the report crossed chunk boundaries
+        cands = read_candidates(candidates)
+        for k in (5, 10):
+            rr_after, rr_before = [], []
+            for ex, cand in zip(examples, cands):
+                rr_after.append(rr_at_k(rerank(cand, score_all(ex.prefix, ranker, semantic), k), ex.target, k))
+                rr_before.append(rr_at_k(cand, ex.target, k))
+            assert report["K"][str(k)]["mrr"] == math.fsum(rr_after) / len(examples)
+            assert report["K"][str(k)]["mrr_before"] == math.fsum(rr_before) / len(examples)
+
+    def test_report_is_byte_identical_across_runs(self, workspace):
+        candidates = rerank_inputs(workspace, "sem-f")
+        assert run_rerank(workspace, candidates, "r1") == 0
+        assert run_rerank(workspace, candidates, "r2") == 0
+        first = (workspace / "r1" / "rerank_report.json").read_bytes()
+        assert first == (workspace / "r2" / "rerank_report.json").read_bytes()
+
+    @pytest.mark.parametrize("fault", sorted(BAD_CANDIDATES))
+    def test_bad_candidate_file_is_exit_2(self, workspace, capsys, fault):
+        candidates = rerank_inputs(workspace)
+        n_items = ds.load_catalog(workspace / "data" / "catalog.json").n
+        recs = [json.loads(line) for line in candidates.read_text().splitlines()]
+        candidates.write_text("".join(json.dumps(r) + "\n" for r in BAD_CANDIDATES[fault](recs, n_items)))
+        capsys.readouterr()
+        assert run_rerank(workspace, candidates) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(candidates) in err and "Traceback" not in err
 
 
 class TestPromptCommand:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import make_catalog, make_semantic
-from oracles import numeric_grad, rel_err, scalar_attention, scalar_backbone
+from oracles import numeric_grad, rel_err, scalar_attention, scalar_backbone, sigmoid_scalar
 from semsr.encoder import (
     AttentionParams,
     attention_backward,
@@ -213,11 +213,13 @@ class TestRegistry:
 
 class TestNumerics:
     def test_sigmoid_stable_at_extremes(self):
-        x = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
+        x = np.array([-np.inf, -800.0, -30.0, -0.0, 0.0, 30.0, 800.0, np.inf, np.nan])
         y = sigmoid(x)
-        assert np.all(np.isfinite(y))
-        assert y[0] == 0.0 and y[-1] == 1.0
-        assert y[2] == 0.5
+        assert np.all(np.isfinite(y[:-1])) and np.isnan(y[-1])
+        assert y[0] == y[1] == 0.0 and y[-3] == y[-2] == 1.0
+        assert y[3] == y[4] == 0.5
+        expected = [sigmoid_scalar(v) for v in x]
+        assert y[:-1].tolist() == expected[:-1] and np.isnan(expected[-1])
 
     def test_softmax_stable_and_normalized(self):
         x = np.array([1000.0, 1001.0, 999.0])

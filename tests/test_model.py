@@ -4,8 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import make_catalog, make_semantic
+from helpers import make_catalog, make_semantic, random_examples
 from oracles import scalar_score_all
+from semsr import model
 from semsr.errors import DataError, NumericError
 from semsr.model import (
     init_model,
@@ -13,6 +14,7 @@ from semsr.model import (
     rank_examples,
     save_checkpoint,
     score_all,
+    score_chunks,
     top_k,
 )
 
@@ -132,7 +134,7 @@ class TestRankInvariance:
 
 
 class TestRankExamples:
-    def test_agrees_with_per_example_scoring(self):
+    def test_agrees_with_per_example_scoring(self, monkeypatch):
         from semsr.dataset import Example
 
         params, semantic = small_model("sem-f", n=15, d1=3, d2=5, d=4)
@@ -140,11 +142,30 @@ class TestRankExamples:
         examples = [
             Example(prefix=list(rng.integers(0, 15, size=rng.integers(1, 5))), target=0) for _ in range(9)
         ]
-        ranked = rank_examples(params, semantic, examples, k=6, chunk=4)
+        monkeypatch.setattr(model, "SCORE_CHUNK", 4)
+        ranked = rank_examples(params, semantic, examples, k=6)
         for ex, rl in zip(examples, ranked):
             expected = top_k(score_all(ex.prefix, params, semantic), 6)
             assert rl.items.tolist() == expected.items.tolist()
             np.testing.assert_allclose(rl.scores, expected.scores, atol=1e-12)
+
+
+class TestScoreChunks:
+    @pytest.mark.parametrize("variant", ["base", "sem-f"])
+    def test_chunk_boundaries_do_not_change_results(self, monkeypatch, variant):
+        params, semantic = small_model(variant, n=15, d1=3, d2=5, d=4)
+        examples = random_examples(np.random.default_rng(5), 15, 7, max_len=5)
+        prefixes = [ex.prefix for ex in examples]
+        whole = list(score_chunks(prefixes, params, semantic))
+        ranked = rank_examples(params, semantic, examples, k=6)
+        monkeypatch.setattr(model, "SCORE_CHUNK", 2)
+        small = list(score_chunks(prefixes, params, semantic))
+        assert [b.shape for b in whole] == [(7, 15)] and [b.shape for b in small] == [(2, 15)] * 3 + [(1, 15)]
+        np.testing.assert_allclose(np.concatenate(small), whole[0], atol=1e-12, rtol=0)
+        for ex, row, a, b in zip(examples, whole[0], ranked, rank_examples(params, semantic, examples, k=6)):
+            np.testing.assert_allclose(row, score_all(ex.prefix, params, semantic), atol=1e-12, rtol=0)
+            assert a.items.tolist() == b.items.tolist() == top_k(row, 6).items.tolist()
+            np.testing.assert_allclose(a.scores, b.scores, atol=1e-12, rtol=0)
 
 
 class TestCheckpoints:

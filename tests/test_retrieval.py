@@ -130,6 +130,10 @@ class TestRerank:
         with pytest.raises(DataError, match="no ranker score"):
             rerank(cand, np.ones(5), k=3)
 
+    def test_negative_candidate_rejected(self):
+        with pytest.raises(DataError, match="no ranker score"):
+            rerank(ranked([1, -1, 3]), np.ones(5), k=3)
+
     def test_k_larger_than_candidates_rejected(self):
         with pytest.raises(DataError, match="exceeds"):
             rerank(ranked([1, 2]), np.ones(5), k=3)
