@@ -21,11 +21,11 @@ from .embeddings import (
     load_semantic_table,
     pseudo_encode,
 )
-from .encoder import AttentionParams, register_backbone
+from .encoder import register_backbone
 from .errors import DataError, GenerationError, NumericError, SemsrError
 from .metrics import EvalResult, evaluate, recall_at_k, rr_at_k
-from .model import ModelParams, init_model, load_checkpoint, save_checkpoint, score_all, top_k
-from .retrieval import RankedList, VectorIndex, build_index, query, rerank
+from .model import ModelParams, init_model, load_checkpoint, save_checkpoint, score_all
+from .retrieval import RankedList, VectorIndex, build_index, query, rerank, top_k
 from .train import AdamState, LossReport, adam_step, fit, init_adam, loss_and_grad
 
 __version__ = "0.1.0"

@@ -40,6 +40,8 @@ def _load_data_dir(cfg: RunConfig):
     data_dir = _require(cfg.data_dir, "data_dir")
     catalog = ds.load_catalog(data_dir / "catalog.json")
     splits = {name: ds.load_sessions(data_dir / f"{name}.jsonl", split=name) for name in ds.SPLITS}
+    for name, sessions in splits.items():
+        ds.check_session_items(data_dir / f"{name}.jsonl", sessions, catalog.n)
     return catalog, splits
 
 
@@ -47,6 +49,19 @@ def _semantic_table(cfg: RunConfig, catalog, d2: int) -> SemanticItemTable:
     if cfg.semantic_path:
         return load_semantic_table(_require(cfg.semantic_path, "semantic_path"), catalog)
     return pseudo_semantic_table(catalog, d2)
+
+
+def _checkpoint_semantic(cfg: RunConfig, path: Path, params, catalog):
+    """Check that the checkpoint at `path` fits the catalog and, for sem-f,
+    the semantic table it scores with; returns that table (else None)."""
+    if params.n != catalog.n:
+        raise DataError(f"{path}: checkpoint has {params.n} items but the catalog has {catalog.n}")
+    if params.variant != "sem-f":
+        return None
+    semantic = _semantic_table(cfg, catalog, params.d2)
+    if semantic.d2 != params.d2:
+        raise DataError(f"{cfg.semantic_path}: semantic width {semantic.d2} != checkpoint d2={params.d2}")
+    return semantic
 
 
 def _clamped_ks(cfg: RunConfig, n: int):
@@ -121,12 +136,13 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    params = load_checkpoint(_require(cfg.checkpoint, "checkpoint"))
+    path = _require(cfg.checkpoint, "checkpoint")
+    params = load_checkpoint(path)
     catalog, splits = _load_data_dir(cfg)
     examples = ds.expand_incremental(splits["test"])
     if not examples:
         raise DataError("empty test split")
-    semantic = _semantic_table(cfg, catalog, params.d2) if params.variant == "sem-f" else None
+    semantic = _checkpoint_semantic(cfg, path, params, catalog)
     ks = _clamped_ks(cfg, catalog.n)
     k_max = max(ks)
     ranked = rank_examples(params, semantic, examples, k_max)
@@ -145,7 +161,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_rerank(cfg: RunConfig) -> int:
     path = _require(cfg.candidates, "candidates")
     candidates = read_candidates(path)
-    ranker = load_checkpoint(_require(cfg.ranker_checkpoint, "ranker_checkpoint"))
+    ranker_path = _require(cfg.ranker_checkpoint, "ranker_checkpoint")
+    ranker = load_checkpoint(ranker_path)
     catalog, splits = _load_data_dir(cfg)
     examples = ds.expand_incremental(splits["test"])
     if len(candidates) != len(examples):
@@ -155,7 +172,7 @@ def cmd_rerank(cfg: RunConfig) -> int:
         raise DataError(f"{path}: candidate lists shorter than K={max(ks)}")
     if max(int(c.items.max()) for c in candidates) >= catalog.n:
         raise DataError(f"{path}: candidate item outside the catalog of {catalog.n} items")
-    semantic = _semantic_table(cfg, catalog, ranker.d2) if ranker.variant == "sem-f" else None
+    semantic = _checkpoint_semantic(cfg, ranker_path, ranker, catalog)
 
     # Ranker scores are consumed one chunk at a time; only the reranked heads are kept.
     reranked = {k: [] for k in ks}

@@ -80,7 +80,7 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.variant not in ("base", "sem-i", "sem-f"):
             raise DataError(f"unknown variant {self.variant!r}")
-        for name in ("d1", "d2", "d", "batch_size", "epochs", "threads"):
+        for name in ("d1", "d2", "d", "batch_size", "epochs", "threads", "val_k", "max_retries"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
         if self.scale <= 0 or self.lr <= 0:

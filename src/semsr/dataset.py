@@ -98,13 +98,17 @@ def load_metadata(path) -> dict[str, ItemMeta]:
             if not rec.get("title"):
                 raise DataError(f"{path}:{lineno}: missing item 'title'")
             price = rec.get("price")
+            try:
+                price = float(price) if price is not None else None
+            except (TypeError, ValueError):
+                raise DataError(f"{path}:{lineno}: 'price' is not a number ({price!r})") from None
             meta = ItemMeta(
                 id=str(rec["id"]),
                 title=str(rec["title"]),
                 brand=rec.get("brand"),
                 category=rec.get("category"),
                 color=rec.get("color"),
-                price=float(price) if price is not None else None,
+                price=price,
                 description=rec.get("description"),
             )
             if meta.id in out:
@@ -342,3 +346,13 @@ def load_sessions(path, split: str | None = None) -> list[Session]:
                 raise DataError(f"{path}:{lineno}: malformed session record ({exc!r})") from None
             out.append(session)
     return out
+
+
+def check_session_items(path, sessions: list[Session], n: int) -> None:
+    """Raise DataError naming the line of `path` (as read by load_sessions)
+    whose session has an item outside the catalog's 0..n-1."""
+    bad = [i for i, s in enumerate(sessions) if any(not 0 <= item < n for item in s.items)]
+    if bad:
+        with Path(path).open() as fh:
+            lineno = [k for k, line in enumerate(fh, start=1) if line.strip()][bad[0]]
+        raise DataError(f"{path}:{lineno}: item outside the catalog's 0..{n - 1}")

@@ -21,16 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import SemanticItemTable, fit_projection, init_trainable
-from .encoder import (
-    ATTENTION_TENSORS,
-    AttentionParams,
-    attention_forward,
-    get_backbone,
-    init_attention_tensors,
-    softmax,
-)
+from .encoder import attention_forward, attention_shapes, get_backbone, init_attention_tensors, normalize_rows, softmax
 from .errors import DataError, NumericError
-from .retrieval import RankedList, rank_descending
+from .retrieval import RankedList, top_k
 
 VARIANTS = ("base", "sem-i", "sem-f")
 
@@ -51,8 +44,9 @@ class ModelParams:
     def n(self) -> int:
         return self.tensors["item_table"].shape[0]
 
-    def attention_params(self) -> AttentionParams:
-        return AttentionParams(**{k: self.tensors[f"attn.{k}"] for k in ATTENTION_TENSORS})
+    def scoped(self, prefix: str) -> dict[str, np.ndarray]:
+        """Tensors named `prefix`+name keyed by name ("bb." backbone, "attn." semantic)."""
+        return {k[len(prefix) :]: v for k, v in self.tensors.items() if k.startswith(prefix)}
 
     def copy(self) -> "ModelParams":
         clone = ModelParams(
@@ -96,13 +90,9 @@ def init_model(
 
     projection = fit_projection(semantic, d1) if init_mode == "semantic-projected" else None
     params.tensors["item_table"] = init_trainable(init_mode, n, d1, rng, semantic, projection)
-    bb = get_backbone(backbone).init_params(d1, rng)
-    for k in ATTENTION_TENSORS:
-        params.tensors[f"bb.{k}"] = bb[k]
+    params.tensors.update({f"bb.{k}": v for k, v in get_backbone(backbone).init_params(d1, rng).items()})
     if variant == "sem-f":
-        attn = init_attention_tensors(d2, rng)
-        for k in ATTENTION_TENSORS:
-            params.tensors[f"attn.{k}"] = attn[k]
+        params.tensors.update({f"attn.{k}": v for k, v in init_attention_tensors(d2, rng).items()})
         stdv = 1.0 / np.sqrt(d1 + d2)
         params.tensors["W4"] = rng.uniform(-stdv, stdv, size=(d, d1 + d2))
         params.tensors["W5"] = rng.uniform(-stdv, stdv, size=(d, d1 + d2))
@@ -122,11 +112,7 @@ def _check_scale(scale: float) -> None:
 
 def normalized_item_matrix(params: ModelParams):
     """(G, norms): L2-normalized trainable rows used by base/sem-i scoring."""
-    table = params.tensors["item_table"]
-    norms = np.linalg.norm(table, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise NumericError("zero-norm row in item_table")
-    return table / norms, norms
+    return normalize_rows(params.tensors["item_table"], "item_table")
 
 
 def fused_item_matrix(params: ModelParams, semantic: SemanticItemTable) -> np.ndarray:
@@ -161,12 +147,11 @@ def forward(prefixes, params: ModelParams, semantic: SemanticItemTable | None, i
     L = int(lengths.max())
     idx = np.array([[p[0]] * (L - len(p)) + list(p) for p in prefixes], dtype=np.intp)
     mask = np.arange(L - 1) >= (L - lengths)[:, None]  # (B, L-1): real head positions
-    theta = {k: params.tensors[f"bb.{k}"] for k in ATTENTION_TENSORS}
-    S_m, bb_cache = get_backbone(params.backbone).forward(params.tensors["item_table"][idx], theta, mask)
+    S_m, bb_cache = get_backbone(params.backbone).forward(params.tensors["item_table"][idx], params.scoped("bb."), mask)
     _check_finite("session embedding s_m", S_m)
     cache = {"idx": idx, "bb": bb_cache, "items": items}
     if params.variant == "sem-f":
-        S_l, _, cache["attn"] = attention_forward(semantic.matrix[idx], params.attention_params(), mask)
+        S_l, _, cache["attn"] = attention_forward(semantic.matrix[idx], params.scoped("attn."), mask)
         _check_finite("session embedding s_l", S_l)
         cache["cat"] = np.concatenate([S_m, S_l], axis=1)  # (B, d1+d2)
         S = _check_finite("fused session embedding", cache["cat"] @ params.tensors["W4"].T)
@@ -192,15 +177,6 @@ def score_chunks(prefixes, params: ModelParams, semantic: SemanticItemTable | No
 def score_all(prefix, params: ModelParams, semantic: SemanticItemTable | None = None) -> np.ndarray:
     """Relevance probabilities over all n items for one prefix (sums to 1)."""
     return next(score_chunks([prefix], params, semantic))[0]
-
-
-def top_k(scores: np.ndarray, k: int) -> RankedList:
-    """Top-k items by descending score, ties by ascending dense index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not 1 <= k <= scores.shape[0]:
-        raise DataError(f"k={k} out of range 1..{scores.shape[0]}")
-    order = rank_descending(scores)[:k]
-    return RankedList(items=order, scores=scores[order])
 
 
 def rank_examples(params: ModelParams, semantic: SemanticItemTable | None, examples, k: int) -> list[RankedList]:
@@ -242,6 +218,15 @@ def load_checkpoint(directory) -> ModelParams:
         params.tensors[blob.name[: -len(".bin")]] = _read_tensor(blob)
     if "item_table" not in params.tensors:
         raise DataError(f"checkpoint at {directory} has no item_table tensor")
+    # the backbone's bb.* tensors are its own business
+    shapes = {"item_table": params.tensors["item_table"].shape[:1] + (params.d1,)}
+    if params.variant == "sem-f":
+        shapes.update({f"attn.{k}": shape for k, shape in attention_shapes(params.d2).items()})
+        shapes["W4"] = shapes["W5"] = (params.d, params.d1 + params.d2)
+    for name, shape in shapes.items():
+        got = params.tensors[name].shape if name in params.tensors else "no tensor"
+        if got != shape:
+            raise DataError(f"{directory / name}.bin: the manifest needs shape {shape}, found {got}")
     return params
 
 

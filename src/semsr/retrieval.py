@@ -63,9 +63,14 @@ def build_index(table: np.ndarray) -> VectorIndex:
     return VectorIndex(matrix=table / norms[:, None])
 
 
-def rank_descending(scores: np.ndarray) -> np.ndarray:
+def top_k(scores: np.ndarray, k: int) -> RankedList:
+    """Top-k items by descending score, ties by ascending index."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not 1 <= k <= scores.shape[0]:
+        raise DataError(f"k={k} out of range 1..{scores.shape[0]}")
     # Stable sort on the negated scores keeps ascending index among ties.
-    return np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores, kind="stable")[:k]
+    return RankedList(items=order, scores=scores[order])
 
 
 def query(index: VectorIndex, vector: np.ndarray, k: int) -> RankedList:
@@ -73,14 +78,10 @@ def query(index: VectorIndex, vector: np.ndarray, k: int) -> RankedList:
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != (index.width,):
         raise DataError(f"query width {vector.shape} != index width {index.width}")
-    if not 1 <= k <= index.n:
-        raise DataError(f"k={k} out of range 1..{index.n}")
     norm = np.linalg.norm(vector)
     if norm == 0:
         raise DataError("zero query vector")
-    scores = index.matrix @ (vector / norm)
-    order = rank_descending(scores)[:k]
-    return RankedList(items=order, scores=scores[order])
+    return top_k(index.matrix @ (vector / norm), k)
 
 
 def rerank(candidates: RankedList, ranker_scores: np.ndarray, k: int) -> RankedList:

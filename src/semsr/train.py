@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import SemanticItemTable
-from .encoder import ATTENTION_TENSORS, attention_backward, get_backbone
+from .encoder import attention_backward, get_backbone, normalize_rows_backward
 from .encoder import attention_forward  # noqa: F401 -- not called here; bench/tracing.py patches it
 from .errors import DataError, NumericError
 from .metrics import recall_at_k
@@ -97,14 +97,13 @@ def loss_and_grad(batch, params: ModelParams, semantic: SemanticItemTable | None
         dcat_s = dS @ W4  # (B, d1+d2)
         dS_m, dS_l = dcat_s[:, :d1], dcat_s[:, d1:]
         attn_grads, _ = attention_backward(cache["attn"], dS_l)
-        grads.update({f"attn.{k}": attn_grads[k] for k in ATTENTION_TENSORS})
+        grads.update({f"attn.{k}": g for k, g in attn_grads.items()})
     else:
         dS_m = params.scale * dS
-        # normalization jacobian per row: dr = (dG - g <g, dG>) / |r|
-        grads["item_table"] = (dM - M * np.sum(M * dM, axis=1, keepdims=True)) / norms
+        grads["item_table"] = normalize_rows_backward(M, norms, dM)
 
     bb_grads, d_raw = get_backbone(params.backbone).backward(cache["bb"], dS_m)
-    grads.update({f"bb.{k}": bb_grads[k] for k in ATTENTION_TENSORS})
+    grads.update({f"bb.{k}": g for k, g in bb_grads.items()})
     np.add.at(grads["item_table"], cache["idx"], d_raw)
 
     grad_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))

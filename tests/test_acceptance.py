@@ -16,7 +16,7 @@ from oracles import numeric_grad, rel_err, scalar_score_all
 from semsr.cli import main
 from semsr.dataset import Example
 from semsr.embeddings import fingerprint_matrix
-from semsr.encoder import AttentionParams, attention_forward, get_backbone, init_attention_tensors
+from semsr.encoder import attention_forward, get_backbone, init_attention_tensors
 from semsr.llm import build_fewshot_strategy, build_prompt, load_templates, prompt_hash
 from semsr.metrics import evaluate, recall_at_k, rr_at_k
 from semsr.model import init_model, rank_examples, save_checkpoint, score_all
@@ -119,7 +119,7 @@ def test_criterion_3_normalization():
     for _ in range(1000):
         w = int(rng.integers(2, 10))
         L = int(rng.integers(2, 12))
-        p = AttentionParams(**init_attention_tensors(w, rng))
+        p = init_attention_tensors(w, rng)
         _, alphas, _ = attention_forward(rng.standard_normal((L, w)), p)
         assert abs(alphas.sum() - 1.0) < 1e-6
     # score vectors and backbone outputs over 1000 instances (500 per variant)
@@ -128,7 +128,7 @@ def test_criterion_3_normalization():
         params, semantic = _model_at_generic_point(variant, cfg, seed=1)
         sem = semantic if variant == "sem-f" else None
         backbone = get_backbone(params.backbone)
-        theta = {k: params.tensors[f"bb.{k}"] for k in ("q", "c", "W1", "W2", "W3")}
+        theta = params.scoped("bb.")
         for _ in range(500):
             prefix = [int(x) for x in rng.integers(0, 30, size=rng.integers(1, 8))]
             probs = score_all(prefix, params, sem)

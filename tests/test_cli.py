@@ -13,7 +13,7 @@ from semsr.embeddings import pseudo_semantic_table
 from semsr.errors import DataError
 from semsr.llm import build_fewshot_strategy, build_prompt, load_templates, prompt_hash
 from semsr.metrics import rr_at_k
-from semsr.model import load_checkpoint, score_all
+from semsr.model import load_checkpoint, save_checkpoint, score_all
 from semsr.retrieval import read_candidates, rerank
 
 
@@ -58,6 +58,14 @@ class TestConfig:
         assert cfg.d2 == 1024 and cfg.out_dir == str(tmp_path / "runs" / "base")
         assert cfg.ks == (20, 100) and cfg.min_item_freq == 2
 
+    def test_readme_library_block_runs(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+        write_fixture_dataset(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("RankedList(items=")
+
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("mock_default = item#7  # trailing comment\n")
@@ -67,6 +75,13 @@ class TestConfig:
         f = tmp_path / "run.cfg"
         f.write_text("variant = fancy\n")
         with pytest.raises(DataError, match="variant"):
+            load_config(f)
+
+    @pytest.mark.parametrize("key", ["val_k", "max_retries"])
+    def test_count_below_one_rejected_by_name(self, tmp_path, key):
+        f = tmp_path / "run.cfg"
+        f.write_text(f"{key} = 0\n")
+        with pytest.raises(DataError, match=f"{key} must be >= 1"):
             load_config(f)
 
 
@@ -137,6 +152,18 @@ class TestIngestCommand:
         after = {f.name: f.read_bytes() for f in sorted((workspace / "data").glob("*"))}
         assert before == after
 
+    def test_non_numeric_price_is_exit_2_naming_the_line(self, tmp_path, capsys):
+        write_fixture_dataset(tmp_path)
+        items = tmp_path / "items.jsonl"
+        lines = items.read_text().splitlines(keepends=True)
+        lines[2] = json.dumps({**json.loads(lines[2]), "price": "cheap"}) + "\n"
+        items.write_text("".join(lines))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG)
+        assert main(["ingest", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{items}:3:" in err and "price" in err and err.count("\n") == 1
+
     def test_missing_metadata_is_exit_2(self, tmp_path, capsys):
         write_fixture_dataset(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -201,8 +228,10 @@ class TestTrainEvalCommands:
             ("base/checkpoint/item_table.bin", b"\x02\x00\x00\x00", "item_table.bin"),
             ("data/test.jsonl", b'{"items": [0, 1], "split": "test"}\n', "test.jsonl:"),
             ("data/catalog.json", b'{"id": "extra", "title": "t", "colour": "red"}\n', "catalog.json:"),
+            ("data/test.jsonl", b'{"session_id": "x", "items": [-1, 3], "split": "test"}\n', "test.jsonl:"),
+            ("data/test.jsonl", b'{"session_id": "x", "items": [1000000, 3], "split": "test"}\n', "test.jsonl:"),
         ],
-        ids=["short-blob", "session-without-id", "catalog-unknown-key"],
+        ids=["short-blob", "session-without-id", "catalog-unknown-key", "negative-item", "item-past-catalog"],
     )
     def test_malformed_artefact_is_exit_2_naming_the_file(self, workspace, capsys, path, content, named):
         cfg = str(workspace / "run.cfg")
@@ -215,6 +244,40 @@ class TestTrainEvalCommands:
             named += str(len(target.read_text().splitlines()))
         capsys.readouterr()
         assert main(["eval", "--config", cfg, "--checkpoint", str(workspace / "base" / "checkpoint")]) == 2
+        err = capsys.readouterr().err
+        assert named in err and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fault, variant, named",
+        [
+            ("item-table-5-rows-long", "base", "m/checkpoint:"),
+            ("item-table-3-rows-short", "base", "m/checkpoint:"),
+            ("semantic-16-wide", "sem-f", "sem16.tsv"),
+            ("w4-column-short", "sem-f", "W4.bin"),
+        ],
+        ids=["item-table-long", "item-table-short", "semantic-too-wide", "w4-column-short"],
+    )
+    def test_checkpoint_that_does_not_fit_is_exit_2(self, workspace, capsys, fault, variant, named):
+        cfg = workspace / "run.cfg"
+        ckpt = workspace / "m" / "checkpoint"
+        assert main(["train", "--config", str(cfg), "--variant", variant, "--out", str(ckpt.parent)]) == 0
+        params = load_checkpoint(ckpt)
+        table = params.tensors["item_table"]
+        if fault == "item-table-5-rows-long":
+            params.tensors["item_table"] = np.concatenate([table, table[:5]])
+        elif fault == "item-table-3-rows-short":
+            params.tensors["item_table"] = table[:-3]
+        elif fault == "w4-column-short":
+            params.tensors["W4"] = params.tensors["W4"][:, :-1]
+        else:
+            catalog = ds.load_catalog(workspace / "data" / "catalog.json")
+            semantic = pseudo_semantic_table(catalog, 16)
+            lines = [f"{m.id}\t{','.join(map(repr, row))}\n" for m, row in zip(catalog.items, semantic.matrix.tolist())]
+            (workspace / "sem16.tsv").write_text("".join(lines))
+            cfg.write_text(BASE_CFG + "semantic_path = sem16.tsv\n")
+        save_checkpoint(ckpt, params)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert named in err and err.count("\n") == 1 and "Traceback" not in err
 
@@ -302,6 +365,17 @@ class TestRerankCommand:
         assert run_rerank(workspace, candidates, "r2") == 0
         first = (workspace / "r1" / "rerank_report.json").read_bytes()
         assert first == (workspace / "r2" / "rerank_report.json").read_bytes()
+
+    def test_ranker_that_does_not_fit_the_catalog_is_exit_2(self, workspace, capsys):
+        candidates = rerank_inputs(workspace)
+        ckpt = workspace / "ranker" / "checkpoint"
+        params = load_checkpoint(ckpt)
+        params.tensors["item_table"] = params.tensors["item_table"][:-3]
+        save_checkpoint(ckpt, params)
+        capsys.readouterr()
+        assert run_rerank(workspace, candidates) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("fault", sorted(BAD_CANDIDATES))
     def test_bad_candidate_file_is_exit_2(self, workspace, capsys, fault):

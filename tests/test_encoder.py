@@ -3,8 +3,9 @@ import pytest
 
 from helpers import make_catalog, make_semantic
 from oracles import numeric_grad, rel_err, scalar_attention, scalar_backbone, sigmoid_scalar
+from semsr.dataset import Example
 from semsr.encoder import (
-    AttentionParams,
+    BACKBONES,
     attention_backward,
     attention_forward,
     get_backbone,
@@ -14,17 +15,19 @@ from semsr.encoder import (
     softmax,
 )
 from semsr.errors import DataError
-from semsr.model import forward, init_model, item_matrix, load_checkpoint, save_checkpoint
+from semsr.model import forward, init_model, item_matrix, load_checkpoint, rank_examples, save_checkpoint, score_all
+from semsr.retrieval import top_k
+from semsr.train import loss_and_grad
 
 
-def hand_params(w: int) -> AttentionParams:
+def hand_params(w: int) -> dict[str, np.ndarray]:
     # small fixed rational values, nothing degenerate
     q = np.array([(3 * i - 1) / 10 for i in range(w)])
     c = np.array([(2 - i) / 10 for i in range(w)])
     W1 = np.array([[((i * 7 + j * 3) % 5 - 2) / 10 for j in range(w)] for i in range(w)])
     W2 = np.array([[((i * 5 + j * 11) % 7 - 3) / 10 for j in range(w)] for i in range(w)])
     W3 = np.array([[((i * 3 + j * 2) % 6 - 2) / 10 for j in range(2 * w)] for i in range(w)])
-    return AttentionParams(q=q, c=c, W1=W1, W2=W2, W3=W3)
+    return {"q": q, "c": c, "W1": W1, "W2": W2, "W3": W3}
 
 
 class TestAttentionForward:
@@ -33,18 +36,18 @@ class TestAttentionForward:
         rows = np.array([[0.4, -0.2, 0.9]])
         out, alphas, _ = attention_forward(rows, p)
         assert alphas.size == 0
-        expected = p.W3 @ np.concatenate([np.zeros(3), rows[0]])
+        expected = p["W3"] @ np.concatenate([np.zeros(3), rows[0]])
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_zero_weights_give_uniform_attention(self):
         w = 4
-        p = AttentionParams(
-            q=np.full(w, 0.7),
-            c=np.zeros(w),
-            W1=np.zeros((w, w)),
-            W2=np.zeros((w, w)),
-            W3=np.concatenate([np.eye(w), np.zeros((w, w))], axis=1),
-        )
+        p = {
+            "q": np.full(w, 0.7),
+            "c": np.zeros(w),
+            "W1": np.zeros((w, w)),
+            "W2": np.zeros((w, w)),
+            "W3": np.concatenate([np.eye(w), np.zeros((w, w))], axis=1),
+        }
         rows = np.random.default_rng(2).standard_normal((5, w))
         out, alphas, _ = attention_forward(rows, p)
         np.testing.assert_allclose(alphas, 0.25, atol=1e-12)
@@ -55,7 +58,7 @@ class TestAttentionForward:
         rows = np.array([[0.3, -0.5], [0.8, 0.1], [-0.2, 0.6]])
         out, alphas, _ = attention_forward(rows, p)
         exp_out, exp_alphas = scalar_attention(
-            rows.tolist(), p.q.tolist(), p.c.tolist(), p.W1.tolist(), p.W2.tolist(), p.W3.tolist()
+            rows.tolist(), *(p[k].tolist() for k in ("q", "c", "W1", "W2", "W3"))
         )
         np.testing.assert_allclose(out, exp_out, atol=1e-12)
         np.testing.assert_allclose(alphas, exp_alphas, atol=1e-12)
@@ -67,8 +70,7 @@ class TestAttentionForward:
         for trial in range(50):
             w = int(rng.integers(2, 8))
             L = int(rng.integers(2, 12))
-            tensors = init_attention_tensors(w, rng)
-            p = AttentionParams(**tensors)
+            p = init_attention_tensors(w, rng)
             _, alphas, _ = attention_forward(rng.standard_normal((L, w)), p)
             assert abs(alphas.sum() - 1.0) < 1e-6
             assert np.all(alphas > 0)
@@ -77,7 +79,7 @@ class TestAttentionForward:
     def test_last_item_is_the_query(self):
         # swapping the last item with an interior one must change the output
         rng = np.random.default_rng(6)
-        p = AttentionParams(**init_attention_tensors(5, rng))
+        p = init_attention_tensors(5, rng)
         rows = rng.standard_normal((4, 5))
         swapped = rows.copy()
         swapped[[1, 3]] = swapped[[3, 1]]
@@ -89,7 +91,7 @@ class TestAttentionForward:
 class TestAttentionBackward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
-        p = AttentionParams(**init_attention_tensors(4, rng))
+        p = init_attention_tensors(4, rng)
         rows = rng.standard_normal((5, 4))
         probe = rng.standard_normal(4)
 
@@ -100,7 +102,7 @@ class TestAttentionBackward:
         out, _, cache = attention_forward(rows, p)
         grads, d_rows = attention_backward(cache, probe)
         for name in ("q", "c", "W1", "W2", "W3"):
-            fd = numeric_grad(loss, getattr(p, name))
+            fd = numeric_grad(loss, p[name])
             analytic = grads[name].reshape(-1)
             assert max(rel_err(a, f) for a, f in zip(analytic, fd)) < 1e-6
         fd_rows = numeric_grad(loss, rows)
@@ -114,7 +116,7 @@ class TestBatchedAttention:
         # gradients and per-row gradients equal the one-prefix calls
         rng = np.random.default_rng(21)
         w, L = 5, 6
-        p = AttentionParams(**init_attention_tensors(w, rng))
+        p = init_attention_tensors(w, rng)
         lengths = (1, 2, 4, 6)
         prefixes = [rng.standard_normal((length, w)) for length in lengths]
         rows = np.stack([np.concatenate([np.repeat(x[:1], L - len(x), axis=0), x]) for x in prefixes])
@@ -141,7 +143,7 @@ class TestSemanticEncoder:
     def test_output_width_is_d2(self):
         catalog = make_catalog(60)
         semantic = make_semantic(catalog, 7)
-        p = AttentionParams(**init_attention_tensors(7, np.random.default_rng(1)))
+        p = init_attention_tensors(7, np.random.default_rng(1))
         for L in (1, 2, 3, 10, 50):
             prefix = list(np.random.default_rng(L).integers(0, 60, size=L))
             s_l, alphas, _ = attention_forward(semantic.matrix[prefix], p)
@@ -178,8 +180,7 @@ class TestReferenceBackbone:
         np.testing.assert_allclose(s_m, z / np.linalg.norm(z), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
-        p = hand_params(2)
-        tensors = {"q": p.q, "c": p.c, "W1": p.W1, "W2": p.W2, "W3": p.W3}
+        tensors = hand_params(2)
         table = np.array([[0.5, 0.1], [-0.4, 0.9], [0.3, 0.3], [0.2, -0.7]])
         s_m, _ = get_backbone("attn-niser").forward(table[[0, 3, 1]], tensors)
         expected = scalar_backbone(
@@ -211,6 +212,73 @@ class TestRegistry:
         assert get_backbone("stub-backbone") is Stub
 
 
+class MeanPoolBackbone:
+    """A backbone with its own tensor names: s_m = proj mean(real rows) + bias."""
+
+    key = "test-mean-pool"
+
+    @staticmethod
+    def init_params(d1, rng):
+        return {"proj": rng.uniform(-0.5, 0.5, size=(d1, d1)), "bias": rng.uniform(-0.5, 0.5, size=d1)}
+
+    @staticmethod
+    def forward(raw_rows, tensors, mask=None):
+        real = np.ones(raw_rows.shape[:-1], dtype=bool)
+        if mask is not None:
+            real[..., :-1] = mask
+        weights = real / real.sum(axis=-1, keepdims=True)  # (..., L), zero at padding
+        pooled = (weights[..., None, :] @ raw_rows)[..., 0, :]
+        cache = {"weights": weights, "pooled": pooled, "proj": tensors["proj"]}
+        return pooled @ tensors["proj"].T + tensors["bias"], cache
+
+    @staticmethod
+    def backward(cache, d_out):
+        w = d_out.shape[-1]
+        grads = {
+            "proj": d_out.reshape(-1, w).T @ cache["pooled"].reshape(-1, w),
+            "bias": d_out.reshape(-1, w).sum(axis=0),
+        }
+        return grads, cache["weights"][..., None] * (d_out @ cache["proj"])[..., None, :]
+
+
+@pytest.fixture()
+def mean_pool_backbone():
+    register_backbone(MeanPoolBackbone)
+    yield MeanPoolBackbone.key
+    del BACKBONES[MeanPoolBackbone.key]
+
+
+class TestBackboneProtocol:
+    @pytest.mark.parametrize("variant", ["base", "sem-f"])
+    def test_backbone_with_its_own_tensor_names(self, mean_pool_backbone, tmp_path, variant):
+        # the documented protocol end to end: init, gradients, checkpoint, ranking
+        n, d1, d2, d = 7, 3, 4, 3
+        sem = make_semantic(make_catalog(n), d2) if variant == "sem-f" else None
+        params = init_model(variant, n, d1, d2, d, seed=0, backbone=mean_pool_backbone, semantic=sem)
+        assert sorted(k for k in params.tensors if k.startswith("bb.")) == ["bb.bias", "bb.proj"]
+        params.tensors["item_table"] = np.random.default_rng(1).standard_normal((n, d1))
+        # a length-1 prefix, padding, and item 4 twice in one prefix
+        batch = [Example([3], 1), Example([0, 5, 2], 6), Example([4, 1, 4, 6], 0)]
+        _, grads = loss_and_grad(batch, params, sem)
+        assert set(grads) == set(params.tensors)
+
+        def loss():
+            return loss_and_grad(batch, params, sem)[0].mean_loss
+
+        for name, tensor in params.tensors.items():
+            fd = numeric_grad(loss, tensor)
+            assert max(rel_err(a, f) for a, f in zip(grads[name].reshape(-1), fd)) < 1e-4, name
+
+        save_checkpoint(tmp_path / "ckpt", params)
+        assert (tmp_path / "ckpt" / "bb.proj.bin").exists()
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.backbone == mean_pool_backbone
+        for name, tensor in params.tensors.items():
+            np.testing.assert_array_equal(loaded.tensors[name], tensor.astype(np.float32))
+        for rl, ex in zip(rank_examples(loaded, sem, batch, 4), batch):
+            assert rl.items.tolist() == top_k(score_all(ex.prefix, loaded, sem), 4).items.tolist()
+
+
 class TestNumerics:
     def test_sigmoid_stable_at_extremes(self):
         x = np.array([-np.inf, -800.0, -30.0, -0.0, 0.0, 30.0, 800.0, np.inf, np.nan])
@@ -226,3 +294,6 @@ class TestNumerics:
         y = softmax(x)
         assert abs(y.sum() - 1.0) < 1e-12
         assert np.all(np.isfinite(y))
+        # an all -inf slice (an empty attention set) gives zeros, not NaN
+        y = softmax(np.array([[0.5, -np.inf], [-np.inf, -np.inf]]), axis=1)
+        assert y.tolist() == [[1.0, 0.0], [0.0, 0.0]]
