@@ -22,7 +22,7 @@ from .embeddings import SemanticItemTable, load_semantic_table, pseudo_semantic_
 from .errors import DataError, SemsrError
 from .llm import HttpClient, MockClient, build_fewshot_strategy, build_title_index, load_templates, recommend_via_llm
 from .metrics import evaluate, recall_at_k, write_report
-from .model import init_model, load_checkpoint, rank_examples, save_checkpoint, score_chunks
+from .model import VARIANTS, init_model, load_checkpoint, rank_examples, save_checkpoint, score_chunks
 from .retrieval import read_candidates, rerank, write_candidates
 from .train import TrainingDiverged, fit
 
@@ -39,9 +39,7 @@ def _require(path, what: str) -> Path:
 def _load_data_dir(cfg: RunConfig):
     data_dir = _require(cfg.data_dir, "data_dir")
     catalog = ds.load_catalog(data_dir / "catalog.json")
-    splits = {name: ds.load_sessions(data_dir / f"{name}.jsonl", split=name) for name in ds.SPLITS}
-    for name, sessions in splits.items():
-        ds.check_session_items(data_dir / f"{name}.jsonl", sessions, catalog.n)
+    splits = {name: ds.load_sessions(data_dir / f"{name}.jsonl", split=name, n=catalog.n) for name in ds.SPLITS}
     return catalog, splits
 
 
@@ -159,19 +157,17 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_rerank(cfg: RunConfig) -> int:
+    catalog, splits = _load_data_dir(cfg)
     path = _require(cfg.candidates, "candidates")
-    candidates = read_candidates(path)
+    candidates = read_candidates(path, catalog.n)
     ranker_path = _require(cfg.ranker_checkpoint, "ranker_checkpoint")
     ranker = load_checkpoint(ranker_path)
-    catalog, splits = _load_data_dir(cfg)
     examples = ds.expand_incremental(splits["test"])
     if len(candidates) != len(examples):
         raise DataError(f"{path}: {len(candidates)} candidate lists but {len(examples)} test examples")
     ks = _clamped_ks(cfg, catalog.n)
     if any(len(c) < max(ks) for c in candidates):
         raise DataError(f"{path}: candidate lists shorter than K={max(ks)}")
-    if max(int(c.items.max()) for c in candidates) >= catalog.n:
-        raise DataError(f"{path}: candidate item outside the catalog of {catalog.n} items")
     semantic = _checkpoint_semantic(cfg, ranker_path, ranker, catalog)
 
     # Ranker scores are consumed one chunk at a time; only the reranked heads are kept.
@@ -252,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run config file (key = value lines)")
         p.add_argument("--seed", type=int)
-        p.add_argument("--variant", choices=["base", "sem-i", "sem-f"])
+        p.add_argument("--variant", choices=VARIANTS)
         p.add_argument("--k", dest="ks", help="comma-separated cutoffs, e.g. 20,100")
         p.add_argument("--out", dest="out_dir")
         if name == "ingest":

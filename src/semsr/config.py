@@ -12,7 +12,9 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .dataset import read_records
 from .errors import DataError
+from .model import VARIANTS
 
 _PATH_FIELDS = (
     "sessions_path",
@@ -78,7 +80,7 @@ class RunConfig:
     templates_dir: str | None = None
 
     def validate(self) -> "RunConfig":
-        if self.variant not in ("base", "sem-i", "sem-f"):
+        if self.variant not in VARIANTS:
             raise DataError(f"unknown variant {self.variant!r}")
         for name in ("d1", "d2", "d", "batch_size", "epochs", "threads", "val_k", "max_retries"):
             if getattr(self, name) < 1:
@@ -93,7 +95,7 @@ class RunConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
-def _coerce(name: str, raw: str, where: str):
+def _coerce(name: str, raw: str):
     raw = raw.strip()
     if raw == "":
         return None
@@ -108,35 +110,38 @@ def _coerce(name: str, raw: str, where: str):
         if typ in (float, "float"):
             return float(raw)
     except ValueError as exc:
-        raise DataError(f"{where}: bad value for {name}: {exc}") from None
+        raise DataError(f"bad value for {name}: {exc}") from None
     return raw
+
+
+def _config_entry(line: str) -> tuple | None:
+    """(key, value) for one config line; None for a comment or an empty value."""
+    stripped = re.sub(r"\s#.*", "", line).strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    key, eq, raw = stripped.partition("=")
+    if not eq:
+        raise DataError("expected 'key = value'")
+    key = key.strip().replace("-", "_")
+    if key not in _FIELDS:
+        raise DataError(f"unknown config key {key!r}")
+    value = _coerce(key, raw)
+    return None if value is None else (key, value)
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse a config file and apply overrides (which win)."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
-    values: dict = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = re.sub(r"\s#.*", "", line).strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise DataError(f"{path}:{lineno}: expected 'key = value'")
-        key, raw = stripped.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key not in _FIELDS:
-            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-        value = _coerce(key, raw, f"{path}:{lineno}")
-        if value is not None:
-            values[key] = value
+    values = dict(entry for entry in read_records(path, "config", _config_entry) if entry)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key not in _FIELDS:
             raise DataError(f"unknown config override {key!r}")
-        values[key] = _coerce(key, value, "command line") if isinstance(value, str) else value
+        try:
+            values[key] = _coerce(key, value) if isinstance(value, str) else value
+        except DataError as exc:
+            raise DataError(f"command line: {exc}") from None
     cfg = RunConfig(**values)
     base = path.parent
     for name in _PATH_FIELDS:

@@ -11,7 +11,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,46 +78,103 @@ class Catalog:
         return self.items[idx].title
 
 
-def load_metadata(path) -> dict[str, ItemMeta]:
-    """Parse the item metadata file into a map from external id to ItemMeta."""
+def read_records(path, what: str, parse) -> list:
+    """`parse(line)`, line break removed, for each non-blank line of a UTF-8
+    text file, in order. A missing file, a line that is not UTF-8, or a
+    DataError from `parse` becomes one DataError naming "<path>:<line>:
+    <what>"; `parse` reports each input fault it means to name as a
+    DataError, so any other exception is a program fault and propagates."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"metadata file not found: {path}")
+    try:
+        fh = path.open("rb")
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    out = []
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode().rstrip("\r\n")
+                if line.strip():
+                    out.append(parse(line))
+            except (DataError, UnicodeDecodeError) as exc:
+                raise DataError(f"{path}:{lineno}: {what}: {exc}") from None
+    return out
+
+
+def json_object(line: str) -> dict:
+    """The JSON object on one line; invalid JSON (a too-long integer
+    included) or any other JSON value is a DataError."""
+    try:
+        rec = json.loads(line)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
+        raise DataError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    if not isinstance(rec, dict):
+        raise DataError("record is not a JSON object")
+    return rec
+
+
+def _required(rec: dict, key: str):
+    """rec[key]; a missing key is a DataError."""
+    if key not in rec:
+        raise DataError(f"missing {key!r}")
+    return rec[key]
+
+
+def _ident(value, name: str) -> str:
+    """An external id: a JSON string, or an integer read as its digits."""
+    if type(value) in (str, int):
+        return str(value)
+    raise DataError(f"{name} must be a string or an integer, got {value!r}")
+
+
+def _item(rec: dict) -> ItemMeta:
+    """One item record, as the metadata file and the catalog both hold it."""
+    if rec.get("id") in (None, ""):
+        raise DataError("missing item 'id'")
+    title = rec.get("title")
+    if type(title) is not str or not title:
+        raise DataError(f"item 'title' must be a non-empty string, got {title!r}")
+    price = rec.get("price")
+    try:
+        price = float(price) if price is not None else None
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"'price' is not a number ({price!r})") from None
+    return ItemMeta(
+        id=_ident(rec["id"], "item 'id'"),
+        title=title,
+        brand=rec.get("brand"),
+        category=rec.get("category"),
+        color=rec.get("color"),
+        price=price,
+        description=rec.get("description"),
+    )
+
+
+def load_metadata(path) -> dict[str, ItemMeta]:
+    """Parse the item metadata file into a map from external id to ItemMeta;
+    keys an item record does not use are ignored."""
     out: dict[str, ItemMeta] = {}
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict) or not rec.get("id"):
-                raise DataError(f"{path}:{lineno}: missing item 'id'")
-            if not rec.get("title"):
-                raise DataError(f"{path}:{lineno}: missing item 'title'")
-            price = rec.get("price")
-            try:
-                price = float(price) if price is not None else None
-            except (TypeError, ValueError):
-                raise DataError(f"{path}:{lineno}: 'price' is not a number ({price!r})") from None
-            meta = ItemMeta(
-                id=str(rec["id"]),
-                title=str(rec["title"]),
-                brand=rec.get("brand"),
-                category=rec.get("category"),
-                color=rec.get("color"),
-                price=price,
-                description=rec.get("description"),
-            )
-            if meta.id in out:
-                warnings.warn(f"{path}:{lineno}: duplicate metadata for item {meta.id}; keeping first")
-                continue
+    for meta in read_records(path, "metadata", lambda line: _item(json_object(line))):
+        if meta.id in out:
+            warnings.warn(f"{path}: duplicate metadata for item {meta.id}; keeping first")
+        else:
             out[meta.id] = meta
     if not out:
         raise DataError(f"metadata file is empty: {path}")
     return out
+
+
+def _raw_session(line: str) -> RawSession:
+    rec = json_object(line)
+    items = _required(rec, "items")
+    if not isinstance(items, list) or not items:
+        raise DataError("'items' must be a non-empty list")
+    user = rec.get("user_id")
+    return RawSession(
+        id=_ident(_required(rec, "session_id"), "'session_id'"),
+        items=[_ident(i, "an item") for i in items],
+        user_id=None if user in (None, "") else _ident(user, "'user_id'"),
+    )
 
 
 def ingest_sessions(path) -> list[RawSession]:
@@ -126,34 +183,14 @@ def ingest_sessions(path) -> list[RawSession]:
     Malformed lines raise DataError naming the line number. Duplicate
     session ids are kept (a warning is emitted).
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"session file not found: {path}")
-    sessions: list[RawSession] = []
-    seen_ids: set[str] = set()
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict) or "session_id" not in rec:
-                raise DataError(f"{path}:{lineno}: missing 'session_id'")
-            if "items" not in rec or not isinstance(rec["items"], list) or not rec["items"]:
-                raise DataError(f"{path}:{lineno}: missing or empty 'items'")
-            sid = str(rec["session_id"])
-            if sid in seen_ids:
-                warnings.warn(f"{path}:{lineno}: duplicate session_id {sid}")
-            seen_ids.add(sid)
-            user = rec.get("user_id")
-            sessions.append(
-                RawSession(id=sid, items=[str(i) for i in rec["items"]], user_id=str(user) if user else None)
-            )
+    sessions = read_records(path, "session", _raw_session)
     if not sessions:
         raise DataError(f"session file is empty: {path}")
+    seen_ids: set[str] = set()
+    for s in sessions:
+        if s.id in seen_ids:
+            warnings.warn(f"{path}: duplicate session_id {s.id}")
+        seen_ids.add(s.id)
     return sessions
 
 
@@ -301,20 +338,21 @@ def save_catalog(path, catalog: Catalog) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+_ITEM_KEYS = frozenset(f.name for f in fields(ItemMeta))
+
+
+def _catalog_item(line: str) -> ItemMeta:
+    rec = json_object(line)
+    meta = _item(rec)
+    unknown = sorted(rec.keys() - _ITEM_KEYS)
+    if unknown:
+        raise DataError(f"unknown key {unknown[0]!r}")
+    return meta
+
+
 def load_catalog(path) -> Catalog:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"catalog file not found: {path}")
-    items = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                try:
-                    items.append(ItemMeta(**json.loads(line)))
-                except (TypeError, ValueError) as exc:
-                    raise DataError(f"{path}:{lineno}: malformed catalog record ({exc})") from None
-    return Catalog(items=items)
+    """Read a catalog written by save_catalog; keys ItemMeta lacks are errors."""
+    return Catalog(items=read_records(path, "catalog", _catalog_item))
 
 
 def save_sessions(path, sessions: list[Session]) -> None:
@@ -324,35 +362,19 @@ def save_sessions(path, sessions: list[Session]) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_sessions(path, split: str | None = None) -> list[Session]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"split file not found: {path}")
-    out = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                session = Session(
-                    id=rec["session_id"],
-                    items=[int(i) for i in rec["items"]],
-                    user_id=rec.get("user_id"),
-                    split=rec.get("split") or split,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed session record ({exc!r})") from None
-            out.append(session)
-    return out
+def load_sessions(path, n: int, split: str | None = None) -> list[Session]:
+    """Read a split file written by save_sessions over a catalog of n items;
+    a session with an item outside 0..n-1 is an error naming its line."""
 
+    def parse(line: str) -> Session:
+        rec = json_object(line)
+        items = _required(rec, "items")
+        if not isinstance(items, list) or len(items) < 2 or any(type(i) is not int for i in items):
+            raise DataError("'items' must be a list of at least 2 integers")
+        if not 0 <= min(items) <= max(items) < n:
+            raise DataError(f"item outside the catalog's 0..{n - 1}")
+        return Session(
+            id=_required(rec, "session_id"), items=items, user_id=rec.get("user_id"), split=rec.get("split") or split
+        )
 
-def check_session_items(path, sessions: list[Session], n: int) -> None:
-    """Raise DataError naming the line of `path` (as read by load_sessions)
-    whose session has an item outside the catalog's 0..n-1."""
-    bad = [i for i, s in enumerate(sessions) if any(not 0 <= item < n for item in s.items)]
-    if bad:
-        with Path(path).open() as fh:
-            lineno = [k for k, line in enumerate(fh, start=1) if line.strip()][bad[0]]
-        raise DataError(f"{path}:{lineno}: item outside the catalog's 0..{n - 1}")
+    return read_records(path, "session", parse)

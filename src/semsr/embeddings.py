@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Catalog, ItemMeta
+from .dataset import Catalog, ItemMeta, read_records
 from .errors import DataError
 
 _MAGIC = b"SEMB1"
@@ -126,22 +126,25 @@ def _load_semantic_binary(path: Path, catalog: Catalog) -> SemanticItemTable:
 
 def _load_semantic_tsv(path: Path, catalog: Catalog) -> SemanticItemTable:
     rows: dict[str, np.ndarray] = {}
-    d2 = None
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                item_id, values = line.split("\t", 1)
-                vec = np.array([float(x) for x in values.split(",")], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed embedding row") from exc
-            if d2 is None:
-                d2 = vec.shape[0]
-            elif vec.shape[0] != d2:
-                raise DataError(f"{path}:{lineno}: width {vec.shape[0]} != {d2}")
-            rows[item_id] = vec
+
+    def parse(line: str) -> None:
+        item_id, tab, values = line.partition("\t")
+        if not tab:
+            raise DataError("expected item_id<TAB>f1,f2,...")
+        if item_id in rows:
+            raise DataError(f"repeated item {item_id!r}")
+        try:
+            vec = np.array([float(x) for x in values.split(",")], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"values must be comma-separated numbers, got {values[:40]!r}") from None
+        d2 = len(next(iter(rows.values()), vec))
+        if vec.shape[0] != d2:
+            raise DataError(f"width {vec.shape[0]} != {d2}")
+        if not np.all(np.isfinite(vec)):
+            raise DataError("non-finite value")
+        rows[item_id] = vec
+
+    read_records(path, "semantic embedding", parse)
     missing = [m.id for m in catalog.items if m.id not in rows]
     if missing:
         shown = ", ".join(missing[:10])

@@ -135,7 +135,13 @@ class MockClient:
         path = Path(path)
         if not path.exists():
             raise DataError(f"mock response file not found: {path}")
-        return cls(json.loads(path.read_text()), default=default)
+        try:
+            responses = json.loads(path.read_text())
+        except ValueError as exc:
+            raise DataError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(responses, dict) or not all(isinstance(v, str) for v in responses.values()):
+            raise DataError(f"{path}: expected a JSON object mapping prompt hashes to response text")
+        return cls(responses, default=default)
 
     def generate(self, system: str, user: str) -> str:
         self.calls += 1

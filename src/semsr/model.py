@@ -212,6 +212,8 @@ def load_checkpoint(directory) -> ModelParams:
             fields[key] = typ(m[key])
         except (KeyError, TypeError, ValueError):
             raise DataError(f"{manifest_path}: {key!r} is missing or not a {typ.__name__}") from None
+    if fields["variant"] not in VARIANTS:
+        raise DataError(f"{manifest_path}: unknown variant {fields['variant']!r}; expected one of {VARIANTS}")
     _check_scale(fields["scale"])
     params = ModelParams(**fields)
     for blob in sorted(directory.glob("*.bin")):

@@ -6,12 +6,13 @@ per line: {"example": <int>, "items": [<int>...], "scores": [<float>...]}.
 """
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import json_object, read_records
 from .errors import DataError
 
 
@@ -112,37 +113,26 @@ def _nonneg_int(x) -> bool:
     return type(x) is int and x >= 0
 
 
-def _candidate_record(rec, seen) -> tuple[int, RankedList]:
-    if not isinstance(rec, dict):
-        raise DataError("record is not a JSON object")
+def _candidate_record(rec: dict, seen: set, n: int) -> tuple[int, RankedList]:
     example, items, scores = rec.get("example"), rec.get("items"), rec.get("scores")
     if not _nonneg_int(example) or example in seen:
         raise DataError(f"'example' must be a new non-negative integer, got {example!r}")
-    if not isinstance(items, list) or not all(_nonneg_int(i) for i in items):
-        raise DataError("'items' must be a list of non-negative integers")
+    seen.add(example)
+    if not isinstance(items, list) or not all(_nonneg_int(i) and i < n for i in items):
+        raise DataError(f"'items' must be a list of integers in 0..{n - 1}")
+    # abs(v) <= max is isfinite(v) without the OverflowError of an integer past float range
     if not isinstance(scores, list) or len(scores) != len(items) or not all(
-        type(v) in (int, float) and math.isfinite(v) for v in scores
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in scores
     ):
         raise DataError("'scores' must be finite numbers, one per item")
     return example, RankedList(items=np.array(items, dtype=np.int64), scores=np.array(scores, dtype=np.float64))
 
 
-def read_candidates(path) -> list[RankedList]:
-    """Candidate lists in example order; the example ids must be 0..m-1."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"candidate file not found: {path}")
-    out: dict[int, RankedList] = {}
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                example, ranked = _candidate_record(json.loads(line), out)
-            except (DataError, ValueError, OverflowError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed candidate record ({exc})") from None
-            out[example] = ranked
+def read_candidates(path, n: int) -> list[RankedList]:
+    """Candidate lists in example order over a catalog of n items; the
+    example ids must be 0..m-1 and every item must lie in 0..n-1."""
+    seen: set[int] = set()
+    out = dict(read_records(path, "candidate", lambda line: _candidate_record(json_object(line), seen, n)))
     if not out:
         raise DataError(f"candidate file is empty: {path}")
     if max(out) != len(out) - 1:

@@ -309,8 +309,8 @@ def _prompt_workspace(tmp_path):
 def _exact_title_mock(tmp_path, kind, seed, shots):
     data = tmp_path / "data"
     catalog = ds.load_catalog(data / "catalog.json")
-    train = ds.load_sessions(data / "train.jsonl", split="train")
-    test = ds.load_sessions(data / "test.jsonl", split="test")
+    train = ds.load_sessions(data / "train.jsonl", catalog.n, split="train")
+    test = ds.load_sessions(data / "test.jsonl", catalog.n, split="test")
     strategy = build_fewshot_strategy(kind, train, catalog, n_shots=shots, seed=seed)
     templates = load_templates()
     mapping = {}

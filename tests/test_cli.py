@@ -132,14 +132,15 @@ def workspace(tmp_path):
 class TestIngestCommand:
     def test_manifest_statistics(self, workspace):
         manifest = json.loads((workspace / "data" / "manifest.json").read_text())
+        n = manifest["n_items"]
         sessions = []
         for name in ("train", "val", "test"):
-            sessions += ds.load_sessions(workspace / "data" / f"{name}.jsonl")
+            sessions += ds.load_sessions(workspace / "data" / f"{name}.jsonl", n)
         # counting oracle over the written splits
         assert manifest["avg_session_len"] == pytest.approx(
             sum(len(s.items) for s in sessions) / len(sessions)
         )
-        train = ds.load_sessions(workspace / "data" / "train.jsonl", split="train")
+        train = ds.load_sessions(workspace / "data" / "train.jsonl", n, split="train")
         assert manifest["n_train_examples"] == sum(len(s.items) - 1 for s in train)
         n_catalog_lines = len((workspace / "data" / "catalog.json").read_text().splitlines())
         assert manifest["n_items"] == n_catalog_lines
@@ -348,9 +349,9 @@ class TestRerankCommand:
         ranker = load_checkpoint(workspace / "ranker" / "checkpoint")
         catalog = ds.load_catalog(workspace / "data" / "catalog.json")
         semantic = pseudo_semantic_table(catalog, ranker.d2) if ranker_variant == "sem-f" else None
-        examples = ds.expand_incremental(ds.load_sessions(workspace / "data" / "test.jsonl", split="test"))
+        examples = ds.expand_incremental(ds.load_sessions(workspace / "data" / "test.jsonl", catalog.n, split="test"))
         assert len(examples) > 3  # the report crossed chunk boundaries
-        cands = read_candidates(candidates)
+        cands = read_candidates(candidates, catalog.n)
         for k in (5, 10):
             rr_after, rr_before = [], []
             for ex, cand in zip(examples, cands):
@@ -394,8 +395,8 @@ class TestPromptCommand:
     def test_prompt_with_exact_title_mock(self, workspace):
         data = workspace / "data"
         catalog = ds.load_catalog(data / "catalog.json")
-        train = ds.load_sessions(data / "train.jsonl", split="train")
-        test = ds.load_sessions(data / "test.jsonl", split="test")
+        train = ds.load_sessions(data / "train.jsonl", catalog.n, split="train")
+        test = ds.load_sessions(data / "test.jsonl", catalog.n, split="test")
         examples = ds.expand_incremental(test)
         strategy = build_fewshot_strategy("fs", train, catalog, n_shots=3, seed=7)
         templates = load_templates()

@@ -14,6 +14,7 @@ from semsr.dataset import (
     load_metadata,
     load_sessions,
     preprocess,
+    read_records,
     save_catalog,
     save_sessions,
     split_by_user,
@@ -53,6 +54,15 @@ class TestIngest:
         with pytest.raises(DataError, match=":2"):
             ingest_sessions(f)
 
+    def test_reader_names_input_faults_and_lets_program_faults_through(self, tmp_path):
+        f = tmp_path / "lines.txt"
+        f.write_bytes(b"ok\n\xff\n")
+        with pytest.raises(DataError, match="lines.txt:2: thing: 'utf-8'"):
+            read_records(f, "thing", str)
+        f.write_text("ok\n")
+        with pytest.raises(KeyError):
+            read_records(f, "thing", lambda line: {}[line])
+
     def test_duplicate_session_id_kept_with_warning(self, tmp_path):
         f = tmp_path / "sessions.jsonl"
         write_jsonl(f, [
@@ -69,6 +79,14 @@ class TestIngest:
         f.write_text("")
         with pytest.raises(DataError, match="empty"):
             ingest_sessions(f)
+
+    def test_integer_user_id_zero_is_a_group_key(self, tmp_path):
+        f = tmp_path / "sessions.jsonl"
+        write_jsonl(f, [
+            {"session_id": "s1", "user_id": 0, "items": ["a", "b"]},
+            {"session_id": "s2", "user_id": 0, "items": ["b", "c"]},
+        ])
+        assert [s.user_id for s in ingest_sessions(f)] == ["0", "0"]
 
 
 def brute_force_filter(seqs, min_freq, min_len):
@@ -228,8 +246,15 @@ class TestPersistence:
     def test_sessions_roundtrip(self, tmp_path):
         sessions = [Session(id="a", items=[0, 1, 2], user_id="u", split="train")]
         save_sessions(tmp_path / "train.jsonl", sessions)
-        back = load_sessions(tmp_path / "train.jsonl")
+        back = load_sessions(tmp_path / "train.jsonl", 3)
         assert back == sessions
+
+    @pytest.mark.parametrize("items", ["12", [1.9, True], [3]], ids=["string", "float-and-bool", "one-item"])
+    def test_split_items_must_be_a_list_of_integers(self, tmp_path, items):
+        f = tmp_path / "train.jsonl"
+        write_jsonl(f, [{"session_id": "a", "items": [0, 1]}, {"session_id": "b", "items": items}])
+        with pytest.raises(DataError, match="train.jsonl:2: .*'items'"):
+            load_sessions(f, 4)
 
     def test_manifest_counts(self):
         splits = {
@@ -253,6 +278,30 @@ class TestMetadata:
         write_jsonl(f, [{"id": "a"}])
         with pytest.raises(DataError, match="title"):
             load_metadata(f)
+
+    @pytest.mark.parametrize(
+        "name, record, error",
+        [
+            ("items.jsonl", {"id": 0, "title": "zero"}, None),
+            ("catalog.json", {"id": 0, "title": "zero"}, None),
+            ("items.jsonl", {"id": "b", "title": ["t"]}, "title"),
+            ("catalog.json", {"id": "b", "title": None}, "title"),
+            ("catalog.json", {"id": "b", "title": "t", "price": "abc"}, "price"),
+        ],
+        ids=["metadata-id-0", "catalog-id-0", "metadata-list-title", "catalog-null-title", "catalog-text-price"],
+    )
+    def test_one_rule_for_both_item_files(self, tmp_path, name, record, error):
+        f = tmp_path / name
+        write_jsonl(f, [{"id": "a", "title": "A"}, record])
+        if name == "items.jsonl":
+            load = load_metadata
+        else:
+            load = lambda path: {m.id: m for m in load_catalog(path).items}  # noqa: E731
+        if error is None:
+            assert load(f)["0"].title == "zero"
+        else:
+            with pytest.raises(DataError, match=f"{name}:2: .*{error}"):
+                load(f)
 
     def test_optional_fields_parsed(self, tmp_path):
         f = tmp_path / "items.jsonl"

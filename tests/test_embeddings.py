@@ -41,6 +41,15 @@ class TestLoadSemantic:
         with pytest.raises(DataError, match="width"):
             load_semantic_table(f, catalog)
 
+    @pytest.mark.parametrize("fault", ["non-finite", "repeated-id"])
+    def test_bad_row_names_its_line(self, tmp_path, fault):
+        a, b = (m.id for m in make_catalog(2).items)
+        second = f"{b}\t1.0,inf" if fault == "non-finite" else f"{a}\t3.0,4.0"
+        f = tmp_path / "emb.tsv"
+        f.write_text(f"{a}\t1.0,2.0\n{second}\n{b}\t5.0,6.0\n")
+        with pytest.raises(DataError, match="emb.tsv:2:"):
+            load_semantic_table(f, make_catalog(2))
+
     def test_binary_roundtrip(self, tmp_path):
         catalog = make_catalog(5)
         rng = np.random.default_rng(0)

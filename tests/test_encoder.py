@@ -209,7 +209,10 @@ class TestRegistry:
         class Stub:
             key = "stub-backbone"
 
-        assert get_backbone("stub-backbone") is Stub
+        try:
+            assert get_backbone("stub-backbone") is Stub
+        finally:
+            del BACKBONES[Stub.key]
 
 
 class MeanPoolBackbone:

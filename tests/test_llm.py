@@ -99,6 +99,13 @@ class TestMockClient:
         client = MockClient({}, default="fallback title")
         assert client.generate("sys", "usr") == "fallback title"
 
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", '{"hash": 3}'], ids=["invalid", "list", "non-text"])
+    def test_malformed_response_file_names_it(self, tmp_path, content):
+        f = tmp_path / "mock.json"
+        f.write_text(content)
+        with pytest.raises(DataError, match="mock.json"):
+            MockClient.from_file(f)
+
 
 class TestRecommend:
     def setup_method(self):

@@ -205,7 +205,7 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="manifest"):
             load_checkpoint(tmp_path / "nope")
 
-    @pytest.mark.parametrize("edit", [{"d": None}, {"step": "many"}, {"scale": [1.0]}])
+    @pytest.mark.parametrize("edit", [{"d": None}, {"step": "many"}, {"scale": [1.0]}, {"variant": "sem-x"}])
     def test_malformed_manifest_rejected(self, tmp_path, edit):
         params, _ = small_model("base")
         save_checkpoint(tmp_path / "ckpt", params)

@@ -155,7 +155,7 @@ class TestCandidateFiles:
         lists = [ranked(rng.permutation(30)[:10], scores=np.sort(rng.random(10))[::-1]) for _ in range(5)]
         path = tmp_path / "candidates.jsonl"
         write_candidates(path, lists)
-        back = read_candidates(path)
+        back = read_candidates(path, 30)
         assert len(back) == 5
         for a, b in zip(lists, back):
             assert a.items.tolist() == b.items.tolist()
@@ -165,4 +165,4 @@ class TestCandidateFiles:
         path = tmp_path / "candidates.jsonl"
         path.write_text('{"example": 0, "items": [1], "scores": [0.5]}\n{"example": 1}\n')
         with pytest.raises(DataError, match=":2"):
-            read_candidates(path)
+            read_candidates(path, 2)
