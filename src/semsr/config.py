@@ -80,16 +80,24 @@ class RunConfig:
     templates_dir: str | None = None
 
     def validate(self) -> "RunConfig":
-        if self.variant not in VARIANTS:
-            raise DataError(f"unknown variant {self.variant!r}")
-        for name in ("d1", "d2", "d", "batch_size", "epochs", "threads", "val_k", "max_retries"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1")
-        if self.scale <= 0 or self.lr <= 0:
-            raise DataError("scale and lr must be positive")
-        if any(k < 1 for k in self.ks):
-            raise DataError("every K must be >= 1")
+        for name in _FIELDS:
+            _check_range(name, getattr(self, name))
         return self
+
+
+_AT_LEAST_ONE = ("d1", "d2", "d", "batch_size", "epochs", "threads", "val_k", "max_retries")
+
+
+def _check_range(name: str, value) -> None:
+    """The value rule of field `name`; a value outside it is a DataError."""
+    if name == "variant" and value not in VARIANTS:
+        raise DataError(f"unknown variant {value!r}")
+    if name in _AT_LEAST_ONE and value < 1:
+        raise DataError(f"{name} must be >= 1")
+    if name in ("scale", "lr") and value <= 0:
+        raise DataError(f"{name} must be positive")
+    if name == "ks" and any(k < 1 for k in value):
+        raise DataError("every K must be >= 1")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -126,11 +134,16 @@ def _config_entry(line: str) -> tuple | None:
     if key not in _FIELDS:
         raise DataError(f"unknown config key {key!r}")
     value = _coerce(key, raw)
-    return None if value is None else (key, value)
+    if value is None:
+        return None
+    _check_range(key, value)
+    return key, value
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse a config file and apply overrides (which win)."""
+    """Parse a config file and apply overrides (which win). A value out of
+    its field's range is an error naming its config line, or the command
+    line for an override."""
     path = Path(path)
     values = dict(entry for entry in read_records(path, "config", _config_entry) if entry)
     for key, value in (overrides or {}).items():
@@ -140,6 +153,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             raise DataError(f"unknown config override {key!r}")
         try:
             values[key] = _coerce(key, value) if isinstance(value, str) else value
+            _check_range(key, values[key])
         except DataError as exc:
             raise DataError(f"command line: {exc}") from None
     cfg = RunConfig(**values)

@@ -351,8 +351,18 @@ def _catalog_item(line: str) -> ItemMeta:
 
 
 def load_catalog(path) -> Catalog:
-    """Read a catalog written by save_catalog; keys ItemMeta lacks are errors."""
-    return Catalog(items=read_records(path, "catalog", _catalog_item))
+    """Read a catalog written by save_catalog; keys ItemMeta lacks and a
+    repeated id are errors naming their line."""
+    seen: set[str] = set()
+
+    def parse(line: str) -> ItemMeta:
+        meta = _catalog_item(line)
+        if meta.id in seen:
+            raise DataError(f"duplicate item id {meta.id!r}")
+        seen.add(meta.id)
+        return meta
+
+    return Catalog(items=read_records(path, "catalog", parse))
 
 
 def save_sessions(path, sessions: list[Session]) -> None:

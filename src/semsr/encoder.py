@@ -15,14 +15,14 @@ softmax-normalized into alpha, pooled into s' = sum_j alpha_j e_j, and the
 output is W3 [s'; e_L]. A length-1 prefix has an empty attention set, so
 s' = 0 and the output is W3 [0; e_L].
 
-Every encoder works on a batch: rows (..., L, w) with any leading batch
-axes, one right-aligned prefix per batch entry, so the query is always
-rows[..., -1, :]. A shorter prefix is padded on the left with copies of
-one of its own rows, and `mask` (..., L-1) marks the head positions that
-are real. Masked positions get alpha = 0, so they add nothing to s' and
-receive no gradient; a prefix of length 1 is an all-masked head with
-s' = 0. Without a mask every position is real, and (L, w) rows are the
-no-batch case.
+Every encoder works on a packed batch: rows (R, w) hold the real rows of
+B prefixes back to back, `lengths` (B,) rows each, and each prefix's
+query is its own last row. There is no padding: the W1/W2/W3 products
+and the sigmoid run on the head rows (H, w) and the query rows (B, w)
+as 2-D GEMMs, only the (H,) raw weights are laid out (B, max L-1) for
+the softmax, and s' is a segment sum over each prefix's head rows. A
+prefix of length 1 has no head rows and gets s' = 0. lengths=None is
+one prefix: rows (L, w), output (w,).
 
 Weights are plain dicts of named tensors (init_attention_tensors; a
 backbone names its own). Forward passes return caches consumed by the
@@ -66,60 +66,61 @@ def init_attention_tensors(width: int, rng: np.random.Generator) -> dict[str, np
     return {name: rng.uniform(-stdv, stdv, size=shape) for name, shape in attention_shapes(width).items()}
 
 
-def attention_forward(rows: np.ndarray, p: dict[str, np.ndarray], mask: np.ndarray | None = None):
+def _segment_sum(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of x's rows, sizes[i] rows in run i; an
+    empty run sums to 0. One slice sum per run: np.add.reduceat measured
+    about 10x slower at width 1024 (numpy 2.4)."""
+    return np.array([x[end - size : end].sum(axis=0) for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist())])
+
+
+def attention_forward(rows: np.ndarray, p: dict[str, np.ndarray], lengths: np.ndarray | None = None):
     """Run the attention encoder with weights `p` (as from
-    init_attention_tensors) over prefix rows (..., L, w).
+    init_attention_tensors) over packed prefix rows (R, w).
 
-    `mask` (..., L-1) marks the real head positions; None means all.
-    Returns (out (..., w), alphas (..., L-1), cache).
+    Returns (out (B, w), alphas (H,), cache); alphas are packed like the
+    head rows, each prefix's L-1 weights back to back. With lengths=None
+    the rows are one prefix and out is (w,).
     """
-    head, last = rows[..., :-1, :], rows[..., -1, :]
-    h = sigmoid(head @ p["W2"].T + (last @ p["W1"].T + p["c"])[..., None, :])  # (..., L-1, w)
-    raw = h @ p["q"]  # (..., L-1)
-    if mask is not None:
-        raw = np.where(mask, raw, -np.inf)
-    alphas = softmax(raw)  # all zero for an empty head
-    s_prime = (alphas[..., None, :] @ head)[..., 0, :]  # (..., w)
-    cat = np.concatenate([s_prime, last], axis=-1)  # (..., 2w)
-    out = cat @ p["W3"].T  # (..., w)
-    cache = {"rows": rows, "h": h, "alphas": alphas, "cat": cat, "params": p}
-    return out, alphas, cache
-
-
-def _batch_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over every leading axis of outer(a, b): (..., i), (..., j) -> (i, j)."""
-    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+    sizes = np.array([len(rows)]) if lengths is None else np.asarray(lengths)
+    n_head = sizes - 1  # (B,)
+    seg = np.repeat(np.arange(len(sizes)), n_head)  # (H,): each head row's prefix
+    last_idx = np.cumsum(sizes) - 1  # (B,): each query row
+    head_idx = np.arange(len(seg)) + seg  # (H,): prefix b's head rows sit after b query rows
+    head, last = rows[head_idx], rows[last_idx]  # (H, w), (B, w)
+    h = sigmoid(head @ p["W2"].T + (last @ p["W1"].T + p["c"])[seg])  # (H, w)
+    pos = head_idx - (last_idx - n_head)[seg]  # (H,): place in its head
+    raw = np.full((len(sizes), n_head.max()), -np.inf)
+    raw[seg, pos] = h @ p["q"]
+    alphas = softmax(raw)[seg, pos]  # (H,)
+    cat = np.concatenate([_segment_sum(alphas[:, None] * head, n_head), last], axis=1)  # [s'; e_L] (B, 2w)
+    out = cat @ p["W3"].T  # (B, w)
+    cache = {"head": head, "last": last, "head_idx": head_idx, "last_idx": last_idx, "seg": seg,
+             "n_head": n_head, "h": h, "alphas": alphas, "cat": cat, "params": p}
+    return (out[0] if lengths is None else out), alphas, cache
 
 
 def attention_backward(cache: dict, d_out: np.ndarray):
     """Backward pass of attention_forward.
 
     Returns (grads, d_rows): grads maps q/c/W1/W2/W3 to their gradients
-    summed over the batch, and d_rows (..., L, w) is the gradient with
-    respect to the input rows (zero at masked positions).
+    summed over the batch, and d_rows (R, w) is the gradient with respect
+    to the packed input rows.
     """
-    p = cache["params"]
-    rows, h, alphas, cat = cache["rows"], cache["h"], cache["alphas"], cache["cat"]
-    w = rows.shape[-1]
-    head, last = rows[..., :-1, :], rows[..., -1, :]
-
-    dcat = d_out @ p["W3"]  # (..., 2w)
-    ds_prime, dlast = dcat[..., :w], dcat[..., w:]
-    dalphas = (head @ ds_prime[..., None])[..., 0]  # (..., L-1)
-    # softmax jacobian: da = alpha * (dalpha - <alpha, dalpha>)
-    draw = alphas * (dalphas - np.sum(alphas * dalphas, axis=-1, keepdims=True))
-    du = draw[..., None] * p["q"] * h * (1.0 - h)  # (..., L-1, w)
-    du_sum = du.sum(axis=-2)  # (..., w)
-    grads = {
-        "q": _batch_sum(draw[..., None], h)[0],
-        "c": du_sum.reshape(-1, w).sum(axis=0),
-        "W1": _batch_sum(du_sum, last),
-        "W2": _batch_sum(du, head),
-        "W3": _batch_sum(d_out, cat),
-    }
-    dhead = alphas[..., None] * ds_prime[..., None, :] + du @ p["W2"]
-    dlast = dlast + du_sum @ p["W1"]
-    return grads, np.concatenate([dhead, dlast[..., None, :]], axis=-2)
+    p, head, last, h, alphas, seg = (cache[k] for k in ("params", "head", "last", "h", "alphas", "seg"))
+    w = head.shape[1]
+    d_out = d_out.reshape(len(last), w)  # a one-prefix call passes (w,)
+    dcat = d_out @ p["W3"]  # (B, 2w)
+    ds_prime = dcat[:, :w]
+    dalphas = np.einsum("ij,ij->i", head, ds_prime[seg])  # (H,)
+    # softmax jacobian, per prefix: da = alpha * (dalpha - <alpha, dalpha>)
+    draw = alphas * (dalphas - _segment_sum(alphas * dalphas, cache["n_head"])[seg])
+    du = draw[:, None] * p["q"] * h * (1.0 - h)  # (H, w)
+    du_sum = _segment_sum(du, cache["n_head"])  # (B, w)
+    grads = {"q": draw @ h, "c": du_sum.sum(axis=0), "W1": du_sum.T @ last, "W2": du.T @ head, "W3": d_out.T @ cache["cat"]}
+    d_rows = np.empty((len(head) + len(last), w))
+    d_rows[cache["head_idx"]] = alphas[:, None] * ds_prime[seg] + du @ p["W2"]
+    d_rows[cache["last_idx"]] = dcat[:, w:] + du_sum @ p["W1"]
+    return grads, d_rows
 
 
 def normalize_rows(rows: np.ndarray, what: str):
@@ -140,11 +141,13 @@ class AttnNiserBackbone:
     L2-normalized trainable rows, output L2-normalized.
 
     A backbone is any class with a registry `key` and three static
-    methods, batched like the attention: init_params(d1, rng) -> tensors
+    methods, packed like the attention: init_params(d1, rng) -> tensors
     (a dict; the names are the backbone's own, saved as bb.<name>.bin);
-    forward(raw_rows (..., L, d1), tensors, mask=None) -> (s_m (..., d1),
-    cache); backward(cache, d_out (..., d1)) -> (grads summed over the
-    batch, d_raw (..., L, d1)).
+    forward(raw_rows (R, d1), tensors, lengths=None) -> (s_m (B, d1),
+    cache), where raw_rows holds the prefixes back to back with lengths
+    (B,) rows each and lengths=None is one prefix (rows (L, d1), s_m
+    (d1,)); backward(cache, d_out (B, d1)) -> (grads summed over the
+    batch, d_raw (R, d1)).
     """
 
     key = "attn-niser"
@@ -154,9 +157,9 @@ class AttnNiserBackbone:
         return init_attention_tensors(d1, rng)
 
     @staticmethod
-    def forward(raw_rows: np.ndarray, tensors: dict[str, np.ndarray], mask: np.ndarray | None = None):
+    def forward(raw_rows: np.ndarray, tensors: dict[str, np.ndarray], lengths: np.ndarray | None = None):
         v, norms = normalize_rows(raw_rows, "trainable item table")
-        z, _, attn_cache = attention_forward(v, tensors, mask)
+        z, _, attn_cache = attention_forward(v, tensors, lengths)
         s_m, z_norm = normalize_rows(z, "backbone output")
         return s_m, {"attn": attn_cache, "v": v, "norms": norms, "z_norm": z_norm, "s_m": s_m}
 

@@ -137,21 +137,18 @@ def forward(prefixes, params: ModelParams, semantic: SemanticItemTable | None, i
     """Logits (B, n) of a batch of prefixes against `items` (from
     item_matrix), plus the cache the training backward pass reads.
 
-    Prefixes are right-aligned in one (B, L) index matrix; a shorter one
-    is padded on the left with its own first item, masked out of the
-    attention.
+    The prefixes are packed: their item indices are concatenated into one
+    (R,) vector with `lengths` (B,), and only those R real rows are encoded.
     """
     lengths = np.array([len(p) for p in prefixes])
     if np.any(lengths == 0):
         raise DataError("prefix must be non-empty")
-    L = int(lengths.max())
-    idx = np.array([[p[0]] * (L - len(p)) + list(p) for p in prefixes], dtype=np.intp)
-    mask = np.arange(L - 1) >= (L - lengths)[:, None]  # (B, L-1): real head positions
-    S_m, bb_cache = get_backbone(params.backbone).forward(params.tensors["item_table"][idx], params.scoped("bb."), mask)
+    idx = np.concatenate(prefixes, dtype=np.intp)
+    S_m, bb_cache = get_backbone(params.backbone).forward(params.tensors["item_table"][idx], params.scoped("bb."), lengths)
     _check_finite("session embedding s_m", S_m)
     cache = {"idx": idx, "bb": bb_cache, "items": items}
     if params.variant == "sem-f":
-        S_l, _, cache["attn"] = attention_forward(semantic.matrix[idx], params.scoped("attn."), mask)
+        S_l, _, cache["attn"] = attention_forward(semantic.matrix[idx], params.scoped("attn."), lengths)
         _check_finite("session embedding s_l", S_l)
         cache["cat"] = np.concatenate([S_m, S_l], axis=1)  # (B, d1+d2)
         S = _check_finite("fused session embedding", cache["cat"] @ params.tensors["W4"].T)

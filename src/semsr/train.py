@@ -7,16 +7,16 @@ and the backward pass threads d(logits) = p - y back through it:
   scoring        for base/sem-i through the scale and the per-row
                  normalization of the item table, or for sem-f through
                  W5/W4 and the two blocks of the fused embeddings
-  session side   one batched backbone backward (normalization jacobians
-                 around the masked attention core) and, for sem-f, one
-                 batched semantic attention backward; weight gradients
-                 come back summed over the batch
+  session side   one packed backbone backward (normalization jacobians
+                 around the attention core) and, for sem-f, one packed
+                 semantic attention backward; weight gradients come back
+                 summed over the batch
 
 The softmax over all n items gives every item-table row a gradient (the
 scoring side is dense); prefix rows additionally receive the sparse
-session-side contribution, scattered with one np.add.at (padding rows
-carry exactly zero). Gradients are batch means. The semantic table is
-frozen and never receives a gradient.
+session-side contribution, scattered with one np.add.at over the packed
+prefix rows (real rows only). Gradients are batch means. The semantic
+table is frozen and never receives a gradient.
 """
 
 import math

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,19 @@ class TestConfig:
         f.write_text(f"{key} = 0\n")
         with pytest.raises(DataError, match=f"{key} must be >= 1"):
             load_config(f)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("d1", "0", "d1 must be >= 1"), ("lr", "-1", "lr must be positive"), ("ks", "0,5", "every K must be >= 1")],
+    )
+    def test_out_of_range_value_names_its_source(self, tmp_path, key, value, message):
+        f = tmp_path / "run.cfg"
+        f.write_text(f"seed = 3\n{key} = {value}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(f))}:2: config: {message}$"):
+            load_config(f)
+        f.write_text("seed = 3\n")
+        with pytest.raises(DataError, match=f"^command line: {message}$"):
+            load_config(f, overrides={key: value})
 
 
 def write_fixture_dataset(root: Path, n_items=25, n_users=40, seed=0):

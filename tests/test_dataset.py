@@ -243,6 +243,12 @@ class TestPersistence:
         assert [m.id for m in back.items] == [m.id for m in catalog.items]
         assert back.index == catalog.index
 
+    def test_catalog_repeated_id_names_its_line(self, tmp_path):
+        f = tmp_path / "catalog.json"
+        write_jsonl(f, [{"id": "a", "title": "A"}, {"id": "b", "title": "B"}, {"id": "a", "title": "C"}])
+        with pytest.raises(DataError, match="catalog.json:3: catalog: duplicate item id 'a'"):
+            load_catalog(f)
+
     def test_sessions_roundtrip(self, tmp_path):
         sessions = [Session(id="a", items=[0, 1, 2], user_id="u", split="train")]
         save_sessions(tmp_path / "train.jsonl", sessions)

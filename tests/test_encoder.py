@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import make_catalog, make_semantic
 from oracles import numeric_grad, rel_err, scalar_attention, scalar_backbone, sigmoid_scalar
@@ -88,55 +90,81 @@ class TestAttentionForward:
         assert not np.allclose(out_a, out_b)
 
 
+def assert_matches_finite_differences(rows, p, lengths, probe):
+    def loss():
+        out, _, _ = attention_forward(rows, p, lengths)
+        return float(np.sum(probe * out))
+
+    _, _, cache = attention_forward(rows, p, lengths)
+    grads, d_rows = attention_backward(cache, probe)
+    for name in ("q", "c", "W1", "W2", "W3"):
+        fd = numeric_grad(loss, p[name])
+        analytic = grads[name].reshape(-1)
+        assert max(rel_err(a, f) for a, f in zip(analytic, fd)) < 1e-6
+    fd_rows = numeric_grad(loss, rows)
+    assert max(rel_err(a, f) for a, f in zip(d_rows.reshape(-1), fd_rows)) < 1e-6
+
+
 class TestAttentionBackward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         p = init_attention_tensors(4, rng)
-        rows = rng.standard_normal((5, 4))
-        probe = rng.standard_normal(4)
+        assert_matches_finite_differences(rng.standard_normal((5, 4)), p, None, rng.standard_normal(4))
 
-        def loss():
-            out, _, _ = attention_forward(rows, p)
-            return float(probe @ out)
+    def test_packed_gradients_match_finite_differences(self):
+        # a packed batch with a length-1 prefix between two longer ones
+        rng = np.random.default_rng(10)
+        p = init_attention_tensors(4, rng)
+        lengths = np.array([3, 1, 4])
+        rows = rng.standard_normal((lengths.sum(), 4))
+        assert_matches_finite_differences(rows, p, lengths, rng.standard_normal((3, 4)))
 
-        out, _, cache = attention_forward(rows, p)
-        grads, d_rows = attention_backward(cache, probe)
-        for name in ("q", "c", "W1", "W2", "W3"):
-            fd = numeric_grad(loss, p[name])
-            analytic = grads[name].reshape(-1)
-            assert max(rel_err(a, f) for a, f in zip(analytic, fd)) < 1e-6
-        fd_rows = numeric_grad(loss, rows)
-        assert max(rel_err(a, f) for a, f in zip(d_rows.reshape(-1), fd_rows)) < 1e-6
+
+def assert_packed_matches_unbatched(prefixes, p, d_out):
+    """One packed call over `prefixes` (each (L, w)) gives each prefix's
+    output, alphas and row gradients of its own one-prefix call, and the
+    weight gradients summed over those calls."""
+    rows, lengths = np.concatenate(prefixes), np.array([len(x) for x in prefixes])
+    out, alphas, cache = attention_forward(rows, p, lengths)
+    grads, d_rows = attention_backward(cache, d_out)
+    assert out.shape == d_out.shape and d_rows.shape == rows.shape
+    assert alphas.shape == (len(rows) - len(prefixes),)
+    summed = {k: np.zeros_like(v) for k, v in grads.items()}
+    row = 0  # prefix i starts at row `row` and at alpha `row - i` (one query row per earlier prefix)
+    for i, x in enumerate(prefixes):
+        out_i, alphas_i, cache_i = attention_forward(x, p)
+        grads_i, d_rows_i = attention_backward(cache_i, d_out[i])
+        np.testing.assert_allclose(out[i], out_i, atol=1e-12)
+        np.testing.assert_allclose(alphas[row - i : row - i + len(x) - 1], alphas_i, atol=1e-12)
+        np.testing.assert_allclose(d_rows[row : row + len(x)], d_rows_i, atol=1e-12)
+        for k in summed:
+            summed[k] += grads_i[k]
+        row += len(x)
+    for k in summed:
+        np.testing.assert_allclose(grads[k], summed[k], atol=1e-12)
 
 
 class TestBatchedAttention:
-    def test_padded_batch_matches_unbatched_calls(self):
-        # right-aligned prefixes of lengths 1, 2, 4 and 6, left-padded with a
-        # copy of their own first row and masked: outputs, summed weight
-        # gradients and per-row gradients equal the one-prefix calls
+    def test_packed_batch_matches_unbatched_calls(self):
+        # prefixes of lengths 1, 2, 4 and 6 packed back to back
         rng = np.random.default_rng(21)
-        w, L = 5, 6
+        w = 5
         p = init_attention_tensors(w, rng)
-        lengths = (1, 2, 4, 6)
+        prefixes = [rng.standard_normal((length, w)) for length in (1, 2, 4, 6)]
+        assert_packed_matches_unbatched(prefixes, p, rng.standard_normal((len(prefixes), w)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[5], seed=0)
+    @example(lengths=[1], seed=1)
+    @example(lengths=[1, 1, 1], seed=2)
+    def test_packed_batch_property(self, lengths, seed):
+        # any mix of lengths 1..8, a single prefix and all-length-1 batches included
+        rng = np.random.default_rng(seed)
+        w = int(rng.integers(1, 6))
+        p = init_attention_tensors(w, rng)
         prefixes = [rng.standard_normal((length, w)) for length in lengths]
-        rows = np.stack([np.concatenate([np.repeat(x[:1], L - len(x), axis=0), x]) for x in prefixes])
-        mask = np.arange(L - 1) >= L - np.array(lengths)[:, None]
-        d_out = rng.standard_normal((len(lengths), w))
-        out, alphas, cache = attention_forward(rows, p, mask)
-        grads, d_rows = attention_backward(cache, d_out)
-        summed = {k: np.zeros_like(v) for k, v in grads.items()}
-        for i, x in enumerate(prefixes):
-            out_i, alphas_i, cache_i = attention_forward(x, p)
-            np.testing.assert_allclose(out[i], out_i, atol=1e-12)
-            np.testing.assert_allclose(alphas[i, L - len(x) :], alphas_i, atol=1e-12)
-            assert np.all(alphas[i, : L - len(x)] == 0)
-            grads_i, d_rows_i = attention_backward(cache_i, d_out[i])
-            np.testing.assert_allclose(d_rows[i, L - len(x) :], d_rows_i, atol=1e-12)
-            assert np.all(d_rows[i, : L - len(x)] == 0)
-            for k in summed:
-                summed[k] += grads_i[k]
-        for k in summed:
-            np.testing.assert_allclose(grads[k], summed[k], atol=1e-12)
+        assert_packed_matches_unbatched(prefixes, p, rng.standard_normal((len(prefixes), w)))
 
 
 class TestSemanticEncoder:
@@ -216,7 +244,7 @@ class TestRegistry:
 
 
 class MeanPoolBackbone:
-    """A backbone with its own tensor names: s_m = proj mean(real rows) + bias."""
+    """A backbone with its own tensor names: s_m = proj mean(prefix rows) + bias."""
 
     key = "test-mean-pool"
 
@@ -225,23 +253,20 @@ class MeanPoolBackbone:
         return {"proj": rng.uniform(-0.5, 0.5, size=(d1, d1)), "bias": rng.uniform(-0.5, 0.5, size=d1)}
 
     @staticmethod
-    def forward(raw_rows, tensors, mask=None):
-        real = np.ones(raw_rows.shape[:-1], dtype=bool)
-        if mask is not None:
-            real[..., :-1] = mask
-        weights = real / real.sum(axis=-1, keepdims=True)  # (..., L), zero at padding
-        pooled = (weights[..., None, :] @ raw_rows)[..., 0, :]
-        cache = {"weights": weights, "pooled": pooled, "proj": tensors["proj"]}
-        return pooled @ tensors["proj"].T + tensors["bias"], cache
+    def forward(raw_rows, tensors, lengths=None):
+        sizes = np.array([len(raw_rows)]) if lengths is None else lengths
+        seg = np.repeat(np.arange(len(sizes)), sizes)  # each row's prefix
+        pooled = np.zeros((len(sizes), raw_rows.shape[1]))
+        np.add.at(pooled, seg, raw_rows / sizes[seg, None])
+        s_m = pooled @ tensors["proj"].T + tensors["bias"]
+        cache = {"seg": seg, "sizes": sizes, "pooled": pooled, "proj": tensors["proj"]}
+        return (s_m[0] if lengths is None else s_m), cache
 
     @staticmethod
     def backward(cache, d_out):
-        w = d_out.shape[-1]
-        grads = {
-            "proj": d_out.reshape(-1, w).T @ cache["pooled"].reshape(-1, w),
-            "bias": d_out.reshape(-1, w).sum(axis=0),
-        }
-        return grads, cache["weights"][..., None] * (d_out @ cache["proj"])[..., None, :]
+        d_out = d_out.reshape(len(cache["sizes"]), -1)
+        grads = {"proj": d_out.T @ cache["pooled"], "bias": d_out.sum(axis=0)}
+        return grads, ((d_out @ cache["proj"]) / cache["sizes"][:, None])[cache["seg"]]
 
 
 @pytest.fixture()
@@ -260,7 +285,7 @@ class TestBackboneProtocol:
         params = init_model(variant, n, d1, d2, d, seed=0, backbone=mean_pool_backbone, semantic=sem)
         assert sorted(k for k in params.tensors if k.startswith("bb.")) == ["bb.bias", "bb.proj"]
         params.tensors["item_table"] = np.random.default_rng(1).standard_normal((n, d1))
-        # a length-1 prefix, padding, and item 4 twice in one prefix
+        # a length-1 prefix, mixed lengths, and item 4 twice in one prefix
         batch = [Example([3], 1), Example([0, 5, 2], 6), Example([4, 1, 4, 6], 0)]
         _, grads = loss_and_grad(batch, params, sem)
         assert set(grads) == set(params.tensors)

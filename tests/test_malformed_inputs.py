@@ -69,6 +69,9 @@ CONFIG_EDITS = [
     lambda line: "x" + line,
     lambda line: "= 5",
     lambda line: "d1 = 1.5",
+    lambda line: "d1 = 0",
+    lambda line: "lr = -1",
+    lambda line: "ks = 0,5",
 ]
 
 # input -> (command that reads it, edits of one decoded record or of one raw line)

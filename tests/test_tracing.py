@@ -32,7 +32,8 @@ def test_instrument_enters_traces_and_restores():
         "model.top_k", "encoder.semantic_fwd", "encoder.semantic_bwd",
         "encoder.backbone_fwd", "encoder.backbone_bwd",
     } <= names
-    # one batched call per training batch and per validation chunk
-    assert tracer.counts["encoder.calls"] == 4 and tracer.counts["encoder.rows"] == 12
+    # one packed call per encoder per training batch and per validation
+    # chunk, over real rows only: 2 x (1+2+4+3) for training, 2 x (1+2) for validation
+    assert tracer.counts["encoder.calls"] == 4 and tracer.counts["encoder.rows"] == 26
     assert all(getattr(m, a) is fn for m, a, fn in originals)
     assert encoder.get_backbone("attn-niser") is backbone

@@ -94,16 +94,16 @@ class TestGradients:
 
     @pytest.mark.parametrize("variant", ["base", "sem-f"])
     def test_padded_mixed_length_batch(self, variant):
-        # lengths 1, 3 and 5 share one padded batch, so masked positions must
-        # leak no gradient; item 4 repeats inside a prefix, so its row must
-        # still accumulate both contributions
+        # lengths 1, 3 and 5 are packed back to back in one batch, so no
+        # prefix's attention may reach into its neighbour's rows; item 4
+        # repeats inside a prefix, so its row must accumulate both contributions
         batch = [
             Example(prefix=[3], target=1),
             Example(prefix=[0, 5, 2], target=6),
             Example(prefix=[4, 1, 4, 6, 2], target=0),
         ]
         check_gradients(variant, batch)
-        # and the padded batch computes what the unpadded examples do alone
+        # and the packed batch computes what the examples do alone
         params, semantic = build(variant)
         sem = semantic if variant == "sem-f" else None
         report, grads = loss_and_grad(batch, params, sem)
