@@ -17,7 +17,6 @@ from .embeddings import (
     SemanticItemTable,
     encode_text,
     fit_projection,
-    init_trainable,
     load_semantic_table,
     pseudo_encode,
 )

@@ -99,12 +99,12 @@ def cmd_train(cfg: RunConfig) -> int:
 
     semantic = None
     d2 = cfg.d2
-    if cfg.variant in ("sem-i", "sem-f") or cfg.init == "semantic-projected":
+    if cfg.variant != "base":
         semantic = _semantic_table(cfg, catalog, cfg.d2)
         d2 = semantic.d2
     params = init_model(
         cfg.variant, catalog.n, cfg.d1, d2, cfg.d, cfg.seed,
-        scale=cfg.scale, backbone=cfg.backbone, init_mode=cfg.init, semantic=semantic,
+        scale=cfg.scale, backbone=cfg.backbone, semantic=semantic,
     )
     out = Path(cfg.out_dir or "run")
     out.mkdir(parents=True, exist_ok=True)
@@ -113,7 +113,6 @@ def cmd_train(cfg: RunConfig) -> int:
         best, history = fit(
             train_examples, val_examples, params, fit_semantic,
             epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-            beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon,
             patience=cfg.patience, seed=cfg.seed, val_k=cfg.val_k,
         )
     except TrainingDiverged as exc:

@@ -40,15 +40,11 @@ class RunConfig:
     d2: int = 1024
     d: int = 100
     scale: float = 16.0
-    init: str = "auto"
     # optimization
     lr: float = 0.001
     batch_size: int = 100
     epochs: int = 30
     patience: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     val_k: int = 100
     # data
     min_item_freq: int = 5
@@ -85,7 +81,7 @@ class RunConfig:
         return self
 
 
-_AT_LEAST_ONE = ("d1", "d2", "d", "batch_size", "epochs", "threads", "val_k", "max_retries")
+_AT_LEAST_ONE = ("d1", "d2", "d", "batch_size", "epochs", "threads", "val_k", "max_retries", "min_item_freq")
 
 
 def _check_range(name: str, value) -> None:
@@ -98,6 +94,10 @@ def _check_range(name: str, value) -> None:
         raise DataError(f"{name} must be positive")
     if name == "ks" and any(k < 1 for k in value):
         raise DataError("every K must be >= 1")
+    if name == "min_session_len" and value < 2:
+        raise DataError("min_session_len must be >= 2")
+    if name == "ratios" and (len(value) != 3 or min(value) < 0 or abs(sum(value) - 1.0) > 1e-9):
+        raise DataError("ratios must be three values >= 0 that sum to 1")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -21,8 +21,6 @@ from .errors import DataError
 
 _MAGIC = b"SEMB1"
 
-INIT_MODES = ("random", "semantic-projected")
-
 
 @dataclass
 class SemanticItemTable:
@@ -201,33 +199,3 @@ def fit_projection(semantic: SemanticItemTable, d1: int) -> Projection:
         if basis[peak, j] < 0:
             basis[:, j] = -basis[:, j]
     return Projection(basis=basis, mean=mean)
-
-
-def init_trainable(
-    mode: str,
-    n: int,
-    d1: int,
-    rng: np.random.Generator,
-    semantic: SemanticItemTable | None = None,
-    projection: Projection | None = None,
-) -> np.ndarray:
-    """Build the n x d1 trainable item table.
-
-    random: entries uniform in [-0.1, 0.1]. semantic-projected: each row is
-    the PCA projection of the centered semantic row, L2-normalized.
-    """
-    if mode == "random":
-        return rng.uniform(-0.1, 0.1, size=(n, d1))
-    if mode == "semantic-projected":
-        if semantic is None or projection is None:
-            raise DataError("semantic-projected init needs a semantic table and projection")
-        if semantic.n != n:
-            raise DataError(f"semantic table has {semantic.n} rows, expected {n}")
-        if projection.basis.shape != (semantic.d2, d1):
-            raise DataError(
-                f"projection shape {projection.basis.shape} does not bridge d2={semantic.d2} to d1={d1}"
-            )
-        rows = projection.apply(semantic.matrix)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
-    raise DataError(f"unknown init mode: {mode!r} (expected one of {INIT_MODES})")

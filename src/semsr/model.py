@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import SemanticItemTable, fit_projection, init_trainable
+from .embeddings import SemanticItemTable, fit_projection
 from .encoder import attention_forward, attention_shapes, get_backbone, init_attention_tensors, normalize_rows, softmax
 from .errors import DataError, NumericError
 from .retrieval import RankedList, top_k
@@ -66,30 +66,33 @@ def init_model(
     seed: int,
     scale: float = 16.0,
     backbone: str = "attn-niser",
-    init_mode: str = "auto",
     semantic: SemanticItemTable | None = None,
 ) -> ModelParams:
     """Create and initialize all trainable tensors for a variant.
 
-    init_mode "auto" resolves to semantic-projected for sem-i and random
-    otherwise. All draws come from one generator seeded with `seed`, in a
-    fixed tensor order, so runs are reproducible.
+    The variant fixes the item table's start: for sem-i each row is the PCA
+    projection of its semantic row, L2-normalized (a zero row stays zero);
+    base and sem-f draw it uniform in [-0.1, 0.1]. All draws come from one
+    generator seeded with `seed`, in a fixed tensor order, so runs are
+    reproducible.
     """
     if variant not in VARIANTS:
         raise DataError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     _check_scale(scale)
-    if init_mode == "auto":
-        init_mode = "semantic-projected" if variant == "sem-i" else "random"
-    if init_mode == "semantic-projected" and semantic is None:
-        raise DataError("semantic-projected initialization needs a semantic table")
+    if variant == "sem-i" and semantic is None:
+        raise DataError("sem-i initialization needs a semantic table")
     if semantic is not None and semantic.n != n:
         raise DataError(f"semantic table rows {semantic.n} != catalog items {n}")
 
     rng = np.random.default_rng(seed)
     params = ModelParams(variant=variant, backbone=backbone, d1=d1, d2=d2, d=d, scale=scale, seed=seed)
 
-    projection = fit_projection(semantic, d1) if init_mode == "semantic-projected" else None
-    params.tensors["item_table"] = init_trainable(init_mode, n, d1, rng, semantic, projection)
+    if variant == "sem-i":
+        rows = fit_projection(semantic, d1).apply(semantic.matrix)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        params.tensors["item_table"] = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
+    else:
+        params.tensors["item_table"] = rng.uniform(-0.1, 0.1, size=(n, d1))
     params.tensors.update({f"bb.{k}": v for k, v in get_backbone(backbone).init_params(d1, rng).items()})
     if variant == "sem-f":
         params.tensors.update({f"attn.{k}": v for k, v in init_attention_tensors(d2, rng).items()})
@@ -213,15 +216,19 @@ def load_checkpoint(directory) -> ModelParams:
         raise DataError(f"{manifest_path}: unknown variant {fields['variant']!r}; expected one of {VARIANTS}")
     _check_scale(fields["scale"])
     params = ModelParams(**fields)
-    for blob in sorted(directory.glob("*.bin")):
-        params.tensors[blob.name[: -len(".bin")]] = _read_tensor(blob)
-    if "item_table" not in params.tensors:
-        raise DataError(f"checkpoint at {directory} has no item_table tensor")
     # the backbone's bb.* tensors are its own business
-    shapes = {"item_table": params.tensors["item_table"].shape[:1] + (params.d1,)}
+    shapes = {}
     if params.variant == "sem-f":
         shapes.update({f"attn.{k}": shape for k, shape in attention_shapes(params.d2).items()})
         shapes["W4"] = shapes["W5"] = (params.d, params.d1 + params.d2)
+    for blob in sorted(directory.glob("*.bin")):
+        name = blob.name[: -len(".bin")]
+        if name != "item_table" and name not in shapes and not name.startswith("bb."):
+            raise DataError(f"{blob}: a {params.variant} checkpoint has no tensor {name!r}")
+        params.tensors[name] = _read_tensor(blob)
+    if "item_table" not in params.tensors:
+        raise DataError(f"checkpoint at {directory} has no item_table tensor")
+    shapes["item_table"] = params.tensors["item_table"].shape[:1] + (params.d1,)
     for name, shape in shapes.items():
         got = params.tensors[name].shape if name in params.tensors else "no tensor"
         if got != shape:

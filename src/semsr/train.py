@@ -40,12 +40,12 @@ class LossReport:
     grad_norm: float
 
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's published defaults (Kingma & Ba, 2015)
+
+
 @dataclass
 class AdamState:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -110,14 +110,8 @@ def loss_and_grad(batch, params: ModelParams, semantic: SemanticItemTable | None
     return LossReport(mean_loss=mean_loss, batch_size=B, grad_norm=grad_norm), grads
 
 
-def init_adam(
-    params: ModelParams,
-    lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+def init_adam(params: ModelParams, lr: float = 0.001) -> AdamState:
+    state = AdamState(lr=lr)
     state.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     state.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     return state
@@ -136,13 +130,13 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
             raise DataError(f"gradient shape {g.shape} != tensor shape {tensor.shape} for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        tensor -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        tensor -= state.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 def fit(
@@ -154,9 +148,6 @@ def fit(
     epochs: int = 30,
     batch_size: int = 100,
     lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
     patience: int = 5,
     seed: int = 0,
     val_k: int = 100,
@@ -169,7 +160,7 @@ def fit(
     """
     if not train_examples:
         raise DataError("empty training set")
-    state = init_adam(params, lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+    state = init_adam(params, lr=lr)
     rng = np.random.default_rng(seed)
     k_eval = min(val_k, params.n)
     history: list[dict] = []

@@ -23,7 +23,7 @@ class TestConfig:
         cfg = RunConfig()
         assert (cfg.d1, cfg.d2, cfg.d) == (100, 1024, 100)
         assert cfg.batch_size == 100 and cfg.lr == 0.001
-        assert cfg.scale == 16.0 and cfg.beta1 == 0.9
+        assert cfg.scale == 16.0
         assert cfg.ks == (20, 100)
         assert cfg.min_item_freq == 5 and cfg.min_session_len == 2
         assert cfg.ratios == (0.8, 0.1, 0.1)
@@ -37,10 +37,11 @@ class TestConfig:
         assert cfg.ks == (5, 10)
         assert cfg.seed == 9  # flag wins
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["learning_rate", "init", "beta1", "beta2", "epsilon"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         f = tmp_path / "run.cfg"
-        f.write_text("learning_rate = 0.1\n")
-        with pytest.raises(DataError, match="unknown config key"):
+        f.write_text(f"{key} = 0.1\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(f))}:1: config: unknown config key"):
             load_config(f)
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
@@ -87,7 +88,15 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value, message",
-        [("d1", "0", "d1 must be >= 1"), ("lr", "-1", "lr must be positive"), ("ks", "0,5", "every K must be >= 1")],
+        [
+            ("d1", "0", "d1 must be >= 1"),
+            ("lr", "-1", "lr must be positive"),
+            ("ks", "0,5", "every K must be >= 1"),
+            ("min_item_freq", "0", "min_item_freq must be >= 1"),
+            ("min_session_len", "1", "min_session_len must be >= 2"),
+            ("ratios", "0.9,0.1", "ratios must be three values >= 0 that sum to 1"),
+            ("ratios", "1.2,-0.1,-0.1", "ratios must be three values >= 0 that sum to 1"),
+        ],
     )
     def test_out_of_range_value_names_its_source(self, tmp_path, key, value, message):
         f = tmp_path / "run.cfg"
@@ -269,8 +278,9 @@ class TestTrainEvalCommands:
             ("item-table-3-rows-short", "base", "m/checkpoint:"),
             ("semantic-16-wide", "sem-f", "sem16.tsv"),
             ("w4-column-short", "sem-f", "W4.bin"),
+            ("w4-in-base", "base", "m/checkpoint/W4.bin"),
         ],
-        ids=["item-table-long", "item-table-short", "semantic-too-wide", "w4-column-short"],
+        ids=["item-table-long", "item-table-short", "semantic-too-wide", "w4-column-short", "w4-in-base"],
     )
     def test_checkpoint_that_does_not_fit_is_exit_2(self, workspace, capsys, fault, variant, named):
         cfg = workspace / "run.cfg"
@@ -284,6 +294,8 @@ class TestTrainEvalCommands:
             params.tensors["item_table"] = table[:-3]
         elif fault == "w4-column-short":
             params.tensors["W4"] = params.tensors["W4"][:, :-1]
+        elif fault == "w4-in-base":
+            params.tensors["W4"] = np.zeros((8, 20))
         else:
             catalog = ds.load_catalog(workspace / "data" / "catalog.json")
             semantic = pseudo_semantic_table(catalog, 16)

@@ -7,13 +7,13 @@ from semsr.embeddings import (
     SemanticItemTable,
     encode_text,
     fit_projection,
-    init_trainable,
     load_semantic_table,
     pseudo_encode,
     save_semantic_binary,
     save_semantic_tsv,
 )
 from semsr.errors import DataError
+from semsr.model import init_model
 
 
 class TestLoadSemantic:
@@ -137,27 +137,18 @@ class TestProjection:
 
 class TestInitTrainable:
     def test_random_mode_seeded(self):
-        rng1 = np.random.default_rng(4)
-        rng2 = np.random.default_rng(4)
-        a = init_trainable("random", 10, 6, rng1)
-        b = init_trainable("random", 10, 6, rng2)
-        assert a.tobytes() == b.tobytes()
+        semantic = make_semantic(make_catalog(10), 5)
+        a = init_model("base", 10, 6, 5, 3, seed=4).tensors["item_table"]
+        b = init_model("base", 10, 6, 5, 3, seed=4).tensors["item_table"]
+        fused = init_model("sem-f", 10, 6, 5, 3, seed=4, semantic=semantic).tensors["item_table"]
+        assert a.tobytes() == b.tobytes() == fused.tobytes()
         assert np.all(np.abs(a) <= 0.1)
-
-    def test_projected_rows_unit_norm(self):
-        catalog = make_catalog(30)
-        semantic = make_semantic(catalog, 16)
-        proj = fit_projection(semantic, 8)
-        table = init_trainable("semantic-projected", 30, 8, np.random.default_rng(0), semantic, proj)
-        norms = np.linalg.norm(table, axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
     def test_projection_preserves_nearest_neighbors(self):
         # 20 clusters of 5; 1-NN under projected cosine should agree with
         # 1-NN under full-width cosine for at least 70% of items.
         semantic, _ = clustered_semantic(100, 20, 64, noise=0.3)
-        proj = fit_projection(semantic, 48)
-        low = init_trainable("semantic-projected", 100, 48, np.random.default_rng(0), semantic, proj)
+        low = init_model("sem-i", 100, 48, 64, 8, seed=0, semantic=semantic).tensors["item_table"]
 
         def one_nn(matrix):
             unit = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -167,7 +158,3 @@ class TestInitTrainable:
 
         agree = np.mean(one_nn(semantic.matrix) == one_nn(low))
         assert agree >= 0.70
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(DataError, match="unknown init mode"):
-            init_trainable("xavier", 5, 3, np.random.default_rng(0))

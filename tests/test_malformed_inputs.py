@@ -72,6 +72,8 @@ CONFIG_EDITS = [
     lambda line: "d1 = 0",
     lambda line: "lr = -1",
     lambda line: "ks = 0,5",
+    lambda line: "ratios = 0.9,0.1",
+    lambda line: "min_session_len = 1",
 ]
 
 # input -> (command that reads it, edits of one decoded record or of one raw line)

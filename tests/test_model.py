@@ -104,14 +104,13 @@ class TestTopK:
 
 
 class TestVariantEquivalence:
-    def test_semi_with_random_init_is_bitwise_base(self):
+    def test_semi_holding_base_tensors_scores_bitwise_like_base(self):
         n, d1, d2, d = 9, 4, 5, 3
         semantic = make_semantic(make_catalog(n), d2)
         base = init_model("base", n, d1, d2, d, seed=7)
-        semi = init_model("sem-i", n, d1, d2, d, seed=7, init_mode="random", semantic=semantic)
+        semi = init_model("sem-i", n, d1, d2, d, seed=7, semantic=semantic)
         assert set(base.tensors) == set(semi.tensors)
-        for name in base.tensors:
-            assert base.tensors[name].tobytes() == semi.tensors[name].tobytes()
+        semi.tensors = {k: v.copy() for k, v in base.tensors.items()}
         prefix = [2, 8, 1]
         assert score_all(prefix, base).tobytes() == score_all(prefix, semi).tobytes()
 

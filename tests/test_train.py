@@ -151,7 +151,7 @@ class TestAdam:
 
     def test_three_steps_match_scalar_reference(self):
         params, _ = build("base", n=3, d1=2, generic_point=False)
-        state = init_adam(params, lr=0.004, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        state = init_adam(params, lr=0.004)
         fixed = {k: np.full_like(v, 0.37) for k, v in params.tensors.items()}
         theta0 = float(params.tensors["bb.q"][0])
         for _ in range(3):
