@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import read_records
+from .dataset import check_ratios, read_records
 from .errors import DataError
 from .model import VARIANTS
 
@@ -96,8 +96,8 @@ def _check_range(name: str, value) -> None:
         raise DataError("every K must be >= 1")
     if name == "min_session_len" and value < 2:
         raise DataError("min_session_len must be >= 2")
-    if name == "ratios" and (len(value) != 3 or min(value) < 0 or abs(sum(value) - 1.0) > 1e-9):
-        raise DataError("ratios must be three values >= 0 that sum to 1")
+    if name == "ratios":
+        check_ratios(value)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -261,6 +261,12 @@ def _apportion(total: int, ratios: tuple[float, ...]) -> list[int]:
     return base
 
 
+def check_ratios(ratios: tuple[float, ...]) -> None:
+    """The split-ratio rule: three values, each >= 0, that sum to 1."""
+    if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+        raise DataError("ratios must be three values >= 0 that sum to 1")
+
+
 def split_by_user(
     sessions: list[Session],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -271,8 +277,7 @@ def split_by_user(
     All sessions sharing a grouping key land in the same split; key counts
     per split stay within one of the exact ratio. Deterministic for a seed.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError("split ratios must sum to 1")
+    check_ratios(ratios)
     keys = sorted({s.user_id or s.id for s in sessions})
     if len(keys) < 3:
         raise DataError("need at least 3 grouping keys to split")

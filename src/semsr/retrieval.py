@@ -65,12 +65,23 @@ def build_index(table: np.ndarray) -> VectorIndex:
 
 
 def top_k(scores: np.ndarray, k: int) -> RankedList:
-    """Top-k items by descending score, ties by ascending index."""
+    """Top-k items by descending score, ties by ascending index.
+
+    `np.partition` finds the k-th largest score; every item scoring at or
+    above it survives, and only the survivors are sorted (by descending
+    score, then ascending index). Keeping all items tied at the cut makes
+    the result exact: it is the head of a stable sort of all n scores, item
+    for item. A NaN or infinite score is a DataError.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    if not 1 <= k <= scores.shape[0]:
-        raise DataError(f"k={k} out of range 1..{scores.shape[0]}")
-    # Stable sort on the negated scores keeps ascending index among ties.
-    order = np.argsort(-scores, kind="stable")[:k]
+    n = scores.shape[0]
+    if not 1 <= k <= n:
+        raise DataError(f"k={k} out of range 1..{n}")
+    if not np.all(np.isfinite(scores)):
+        raise DataError("non-finite score")
+    cut = np.partition(scores, n - k)[n - k]
+    keep = np.flatnonzero(scores >= cut)
+    order = keep[np.lexsort((keep, -scores[keep]))[:k]]
     return RankedList(items=order, scores=scores[order])
 
 

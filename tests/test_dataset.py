@@ -207,6 +207,11 @@ class TestSplit:
         with pytest.raises(DataError, match="sum to 1"):
             split_by_user(_sessions_for_users(10), ratios=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("ratios", [(0.9, 0.1), (1.2, -0.1, -0.1)])
+    def test_ratios_must_be_three_non_negative_values(self, ratios):
+        with pytest.raises(DataError, match="^ratios must be three values >= 0 that sum to 1$"):
+            split_by_user(_sessions_for_users(20), ratios=ratios)
+
 
 class TestExpand:
     def test_train_session_expands_incrementally(self):

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_catalog, make_semantic, random_examples
 from oracles import scalar_score_all
@@ -102,6 +104,31 @@ class TestTopK:
         with pytest.raises(DataError):
             top_k(np.ones(3), 0)
 
+    def test_ties_crossing_the_cut_keep_the_lowest_indices(self):
+        rl = top_k(np.array([0.3, 0.5, 0.5, 0.5, 0.1]), 2)
+        assert rl.items.tolist() == [1, 2]
+        assert rl.scores.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        scores = np.array([0.3, 0.5, 0.1, 0.2])
+        scores[2] = bad
+        with pytest.raises(DataError, match="non-finite score"):
+            top_k(scores, 2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_stable_full_sort_on_heavy_ties(self, data):
+        extra = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3, unique=True))
+        pool = [0.0, -0.0, *extra]
+        n = data.draw(st.integers(1, 60))
+        scores = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        k = data.draw(st.integers(1, n))
+        rl = top_k(scores, k)
+        order = np.argsort(-scores, kind="stable")[:k]
+        assert rl.items.tolist() == order.tolist()
+        assert rl.scores.tobytes() == scores[order].tobytes()
+
 
 class TestVariantEquivalence:
     def test_semi_holding_base_tensors_scores_bitwise_like_base(self):
@@ -147,6 +174,18 @@ class TestRankExamples:
             expected = top_k(score_all(ex.prefix, params, semantic), 6)
             assert rl.items.tolist() == expected.items.tolist()
             np.testing.assert_allclose(rl.scores, expected.scores, atol=1e-12)
+
+    def test_exactly_tied_probabilities_rank_by_index(self):
+        params, _ = small_model("base", n=12, d1=3)
+        table = params.tensors["item_table"]
+        table[6:] = table[:6]  # items i and i + 6 score exactly alike
+        examples = random_examples(np.random.default_rng(3), 12, 5, max_len=4)
+        (probs,) = score_chunks([ex.prefix for ex in examples], params, None)
+        for p, rl in zip(probs, rank_examples(params, None, examples, k=7)):
+            assert np.unique(p).size == 6
+            oracle = sorted(range(12), key=lambda i: (-p[i], i))[:7]
+            assert rl.items.tolist() == oracle
+            assert rl.scores.tolist() == p[oracle].tolist()
 
 
 class TestScoreChunks:

@@ -72,6 +72,11 @@ class TestQuery:
         with pytest.raises(DataError, match="zero query"):
             query(index, np.zeros(2), k=1)
 
+    def test_nan_query_rejected(self):
+        index = build_index(np.eye(3))
+        with pytest.raises(DataError, match="non-finite score"):
+            query(index, np.array([0.5, np.nan, 1.0]), k=2)
+
 
 def ranked(items, scores=None):
     items = np.asarray(items)
