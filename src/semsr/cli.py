@@ -51,7 +51,8 @@ def _semantic_table(cfg: RunConfig, catalog, d2: int) -> SemanticItemTable:
 
 def _checkpoint_semantic(cfg: RunConfig, path: Path, params, catalog):
     """Check that the checkpoint at `path` fits the catalog and, for sem-f,
-    the semantic table it scores with; returns that table (else None)."""
+    that the semantic table it scores with is the one it was trained with
+    (same width and fingerprint); returns that table (else None)."""
     if params.n != catalog.n:
         raise DataError(f"{path}: checkpoint has {params.n} items but the catalog has {catalog.n}")
     if params.variant != "sem-f":
@@ -59,6 +60,12 @@ def _checkpoint_semantic(cfg: RunConfig, path: Path, params, catalog):
     semantic = _semantic_table(cfg, catalog, params.d2)
     if semantic.d2 != params.d2:
         raise DataError(f"{cfg.semantic_path}: semantic width {semantic.d2} != checkpoint d2={params.d2}")
+    if semantic.fingerprint != params.semantic_fingerprint:
+        source = cfg.semantic_path or "the pseudo-encoded semantic table"
+        raise DataError(
+            f"{path / 'manifest.json'}: trained with semantic table {params.semantic_fingerprint[:16]}, "
+            f"but {source} is {semantic.fingerprint[:16]}"
+        )
     return semantic
 
 
@@ -102,10 +109,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.variant != "base":
         semantic = _semantic_table(cfg, catalog, cfg.d2)
         d2 = semantic.d2
-    params = init_model(
-        cfg.variant, catalog.n, cfg.d1, d2, cfg.d, cfg.seed,
-        scale=cfg.scale, backbone=cfg.backbone, semantic=semantic,
-    )
+    params = init_model(cfg.variant, catalog.n, cfg.d1, d2, cfg.d, cfg.seed, scale=cfg.scale, semantic=semantic)
     out = Path(cfg.out_dir or "run")
     out.mkdir(parents=True, exist_ok=True)
     fit_semantic = semantic if cfg.variant == "sem-f" else None
@@ -122,8 +126,6 @@ def cmd_train(cfg: RunConfig) -> int:
         return 1
     save_checkpoint(out / "checkpoint", best)
     (out / "history.json").write_text(json.dumps(history, sort_keys=True, indent=2) + "\n")
-    if semantic is not None:
-        (out / "semantic.fingerprint").write_text(semantic.fingerprint + "\n")
     last = history[-1] if history else {}
     print(f"trained {cfg.variant} for {len(history)} epochs; final train loss {last.get('train_loss', float('nan')):.4f}")
     if "val_recall" in last:

@@ -35,7 +35,6 @@ _PATH_FIELDS = (
 class RunConfig:
     # model
     variant: str = "base"
-    backbone: str = "attn-niser"
     d1: int = 100
     d2: int = 1024
     d: int = 100

@@ -166,36 +166,31 @@ def save_semantic_binary(path, matrix: np.ndarray) -> None:
 
 
 def fit_projection(semantic: SemanticItemTable, d1: int) -> Projection:
-    """Top-d1 principal directions of the centered semantic matrix.
+    """Top-d1 principal directions of the centered semantic matrix X_c.
+
+    One symmetric eigendecomposition of the d2 x d2 Gram matrix X_c^T X_c:
+    its eigenvectors in descending eigenvalue order are the basis, and past
+    the rank (zero-variance directions) they already complete it
+    orthonormally, with a warning when the rank is below d1. Eigenvalues
+    are squared singular values and eigh on a Gram matrix carries noise
+    near eps * lambda_max, so the rank counts eigenvalues above
+    lambda_max * max(n, d2) * eps; squaring a singular-value tolerance
+    would put the cutoff below that noise and count it as rank.
 
     Sign convention: the largest-magnitude entry of each basis column is
-    positive. If the matrix has rank below d1 the remaining columns are
-    filled with an orthonormal completion (with a warning).
+    positive. This fixes a column only where its eigenvalue is distinct;
+    inside a repeated eigenvalue (the zero-variance completion included)
+    any rotation of the eigenspace is as valid.
     """
     n, d2 = semantic.matrix.shape
     if d1 > min(n, d2):
         raise DataError(f"d1={d1} exceeds min(n={n}, d2={d2})")
     mean = semantic.matrix.mean(axis=0)
     centered = semantic.matrix - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    tol = svals[0] * max(n, d2) * np.finfo(np.float64).eps if svals.size else 0.0
-    rank = int(np.sum(svals > tol))
-    cols = [vt[i] for i in range(min(rank, d1))]
+    lam, vec = np.linalg.eigh(centered.T @ centered)
+    lam, basis = lam[::-1], vec[:, ::-1][:, :d1]  # descending; (d2, d1)
+    rank = int(np.sum(lam > lam[0] * max(n, d2) * np.finfo(np.float64).eps))
     if rank < d1:
         warnings.warn(f"semantic matrix rank {rank} < d1={d1}; padding with orthonormal completion")
-        probe = 0
-        while len(cols) < d1:
-            cand = np.zeros(d2)
-            cand[probe % d2] = 1.0
-            probe += 1
-            for c in cols:
-                cand = cand - (c @ cand) * c
-            norm = np.linalg.norm(cand)
-            if norm > 1e-8:
-                cols.append(cand / norm)
-    basis = np.stack(cols, axis=1)  # (d2, d1)
-    for j in range(d1):
-        peak = np.argmax(np.abs(basis[:, j]))
-        if basis[peak, j] < 0:
-            basis[:, j] = -basis[:, j]
-    return Projection(basis=basis, mean=mean)
+    peaks = basis[np.argmax(np.abs(basis), axis=0), np.arange(d1)]
+    return Projection(basis=basis * np.where(peaks < 0, -1.0, 1.0), mean=mean)

@@ -21,8 +21,7 @@ query is its own last row. There is no padding: the W1/W2/W3 products
 and the sigmoid run on the head rows (H, w) and the query rows (B, w)
 as 2-D GEMMs, only the (H,) raw weights are laid out (B, max L-1) for
 the softmax, and s' is a segment sum over each prefix's head rows. A
-prefix of length 1 has no head rows and gets s' = 0. lengths=None is
-one prefix: rows (L, w), output (w,).
+prefix of length 1 has no head rows and gets s' = 0.
 
 Weights are plain dicts of named tensors (init_attention_tensors; a
 backbone names its own). Forward passes return caches consumed by the
@@ -73,15 +72,15 @@ def _segment_sum(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.array([x[end - size : end].sum(axis=0) for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist())])
 
 
-def attention_forward(rows: np.ndarray, p: dict[str, np.ndarray], lengths: np.ndarray | None = None):
+def attention_forward(rows: np.ndarray, p: dict[str, np.ndarray], lengths: np.ndarray):
     """Run the attention encoder with weights `p` (as from
-    init_attention_tensors) over packed prefix rows (R, w).
+    init_attention_tensors) over packed prefix rows (R, w), `lengths` (B,)
+    rows per prefix.
 
     Returns (out (B, w), alphas (H,), cache); alphas are packed like the
-    head rows, each prefix's L-1 weights back to back. With lengths=None
-    the rows are one prefix and out is (w,).
+    head rows, each prefix's L-1 weights back to back.
     """
-    sizes = np.array([len(rows)]) if lengths is None else np.asarray(lengths)
+    sizes = np.asarray(lengths)
     n_head = sizes - 1  # (B,)
     seg = np.repeat(np.arange(len(sizes)), n_head)  # (H,): each head row's prefix
     last_idx = np.cumsum(sizes) - 1  # (B,): each query row
@@ -96,7 +95,7 @@ def attention_forward(rows: np.ndarray, p: dict[str, np.ndarray], lengths: np.nd
     out = cat @ p["W3"].T  # (B, w)
     cache = {"head": head, "last": last, "head_idx": head_idx, "last_idx": last_idx, "seg": seg,
              "n_head": n_head, "h": h, "alphas": alphas, "cat": cat, "params": p}
-    return (out[0] if lengths is None else out), alphas, cache
+    return out, alphas, cache
 
 
 def attention_backward(cache: dict, d_out: np.ndarray):
@@ -108,7 +107,6 @@ def attention_backward(cache: dict, d_out: np.ndarray):
     """
     p, head, last, h, alphas, seg = (cache[k] for k in ("params", "head", "last", "h", "alphas", "seg"))
     w = head.shape[1]
-    d_out = d_out.reshape(len(last), w)  # a one-prefix call passes (w,)
     dcat = d_out @ p["W3"]  # (B, 2w)
     ds_prime = dcat[:, :w]
     dalphas = np.einsum("ij,ij->i", head, ds_prime[seg])  # (H,)
@@ -143,11 +141,10 @@ class AttnNiserBackbone:
     A backbone is any class with a registry `key` and three static
     methods, packed like the attention: init_params(d1, rng) -> tensors
     (a dict; the names are the backbone's own, saved as bb.<name>.bin);
-    forward(raw_rows (R, d1), tensors, lengths=None) -> (s_m (B, d1),
-    cache), where raw_rows holds the prefixes back to back with lengths
-    (B,) rows each and lengths=None is one prefix (rows (L, d1), s_m
-    (d1,)); backward(cache, d_out (B, d1)) -> (grads summed over the
-    batch, d_raw (R, d1)).
+    forward(raw_rows (R, d1), tensors, lengths) -> (s_m (B, d1), cache),
+    where raw_rows holds the prefixes back to back with lengths (B,) rows
+    each; backward(cache, d_out (B, d1)) -> (grads summed over the batch,
+    d_raw (R, d1)).
     """
 
     key = "attn-niser"
@@ -157,7 +154,7 @@ class AttnNiserBackbone:
         return init_attention_tensors(d1, rng)
 
     @staticmethod
-    def forward(raw_rows: np.ndarray, tensors: dict[str, np.ndarray], lengths: np.ndarray | None = None):
+    def forward(raw_rows: np.ndarray, tensors: dict[str, np.ndarray], lengths: np.ndarray):
         v, norms = normalize_rows(raw_rows, "trainable item table")
         z, _, attn_cache = attention_forward(v, tensors, lengths)
         s_m, z_norm = normalize_rows(z, "backbone output")

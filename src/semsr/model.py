@@ -9,11 +9,13 @@ sem-f   -- fuses the two views: s = W4 [s_m; s_l] and per-item
            (no scale), then softmaxed
 
 Checkpoints are a directory: manifest.json (variant, widths, backbone key,
-scale, seed, step) plus one <tensor>.bin per named tensor. Each blob is
+scale, seed, step; for sem-f also the fingerprint of the semantic table it
+was trained with) plus one <tensor>.bin per named tensor. Each blob is
 rank and dims as u64 LE, then float32 LE values row-major.
 """
 
 import json
+import shutil
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +40,7 @@ class ModelParams:
     scale: float
     seed: int
     step: int = 0
+    semantic_fingerprint: str = ""  # sem-f: the semantic table it scores with
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -52,6 +55,7 @@ class ModelParams:
         clone = ModelParams(
             variant=self.variant, backbone=self.backbone, d1=self.d1, d2=self.d2,
             d=self.d, scale=self.scale, seed=self.seed, step=self.step,
+            semantic_fingerprint=self.semantic_fingerprint,
         )
         clone.tensors = {k: v.copy() for k, v in self.tensors.items()}
         return clone
@@ -74,18 +78,21 @@ def init_model(
     projection of its semantic row, L2-normalized (a zero row stays zero);
     base and sem-f draw it uniform in [-0.1, 0.1]. All draws come from one
     generator seeded with `seed`, in a fixed tensor order, so runs are
-    reproducible.
+    reproducible. sem-f keeps the semantic table's fingerprint, which its
+    checkpoint manifest records.
     """
     if variant not in VARIANTS:
         raise DataError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     _check_scale(scale)
-    if variant == "sem-i" and semantic is None:
-        raise DataError("sem-i initialization needs a semantic table")
+    if variant != "base" and semantic is None:
+        raise DataError(f"{variant} initialization needs a semantic table")
     if semantic is not None and semantic.n != n:
         raise DataError(f"semantic table rows {semantic.n} != catalog items {n}")
 
     rng = np.random.default_rng(seed)
     params = ModelParams(variant=variant, backbone=backbone, d1=d1, d2=d2, d=d, scale=scale, seed=seed)
+    if variant == "sem-f":
+        params.semantic_fingerprint = semantic.fingerprint
 
     if variant == "sem-i":
         rows = fit_projection(semantic, d1).apply(semantic.matrix)
@@ -189,12 +196,24 @@ _MANIFEST = {"variant": str, "backbone": str, "d1": int, "d2": int, "d": int, "s
 
 
 def save_checkpoint(directory, params: ModelParams) -> None:
+    """Write the checkpoint into the sibling directory .<name>.new, then
+    rename it into place: a save replaces whatever `directory` held, and a
+    save that fails leaves the previous checkpoint whole."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    staging, retired = (directory.with_name(f".{directory.name}.{tag}") for tag in ("new", "old"))
+    for stale in (staging, retired):
+        shutil.rmtree(stale, ignore_errors=True)
+    staging.mkdir(parents=True)
     manifest = {key: getattr(params, key) for key in _MANIFEST}
-    (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    if params.variant == "sem-f":
+        manifest["semantic_fingerprint"] = params.semantic_fingerprint
+    (staging / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     for name, tensor in params.tensors.items():
-        _write_tensor(directory / f"{name}.bin", tensor)
+        _write_tensor(staging / f"{name}.bin", tensor)
+    if directory.exists():
+        directory.rename(retired)
+    staging.rename(directory)
+    shutil.rmtree(retired, ignore_errors=True)
 
 
 def load_checkpoint(directory) -> ModelParams:
@@ -207,7 +226,8 @@ def load_checkpoint(directory) -> ModelParams:
     except ValueError as exc:
         raise DataError(f"{manifest_path}: not valid JSON ({exc})") from None
     fields = {}
-    for key, typ in _MANIFEST.items():
+    own = {"semantic_fingerprint": str} if isinstance(m, dict) and m.get("variant") == "sem-f" else {}
+    for key, typ in {**_MANIFEST, **own}.items():
         try:
             fields[key] = typ(m[key])
         except (KeyError, TypeError, ValueError):

@@ -1,8 +1,11 @@
 """Independent oracles: straight-line scalar implementations used to check
 the vectorized code paths. Everything here sticks to plain Python floats
-and lists on purpose; none of it shares code with the package."""
+and lists on purpose, except the PCA reference, which needs an SVD; none
+of it shares code with the package."""
 
 import math
+
+import numpy as np
 
 
 def sigmoid_scalar(x: float) -> float:
@@ -88,6 +91,20 @@ def scalar_score_all(prefix, params, semantic_matrix=None):
     else:
         logits = [params.scale * dot(unit(table[k]), s_m) for k in range(n)]
     return softmax_scalar(logits)
+
+
+def svd_projection(matrix: np.ndarray, d1: int):
+    """Reference PCA by a different factorization: the top-d1 right singular
+    vectors of the thin SVD of the centered matrix, each column's
+    largest-magnitude entry made positive. Only for inputs of rank >= d1.
+    Returns (basis (d2, d1), mean (d2,))."""
+    mean = matrix.mean(axis=0)
+    _, _, vt = np.linalg.svd(matrix - mean, full_matrices=False)
+    basis = vt[:d1].T.copy()
+    for j in range(d1):
+        if basis[np.argmax(np.abs(basis[:, j])), j] < 0:
+            basis[:, j] = -basis[:, j]
+    return basis, mean
 
 
 def scalar_adam(theta0, grads_per_step, lr, beta1, beta2, eps):

@@ -120,7 +120,7 @@ def test_criterion_3_normalization():
         w = int(rng.integers(2, 10))
         L = int(rng.integers(2, 12))
         p = init_attention_tensors(w, rng)
-        _, alphas, _ = attention_forward(rng.standard_normal((L, w)), p)
+        _, alphas, _ = attention_forward(rng.standard_normal((L, w)), p, [L])
         assert abs(alphas.sum() - 1.0) < 1e-6
     # score vectors and backbone outputs over 1000 instances (500 per variant)
     for variant in ("base", "sem-f"):
@@ -133,8 +133,8 @@ def test_criterion_3_normalization():
             prefix = [int(x) for x in rng.integers(0, 30, size=rng.integers(1, 8))]
             probs = score_all(prefix, params, sem)
             assert abs(probs.sum() - 1.0) < 1e-6
-            s_m, _ = backbone.forward(params.tensors["item_table"][prefix], theta)
-            assert abs(np.linalg.norm(s_m) - 1.0) < 1e-6
+            s_m, _ = backbone.forward(params.tensors["item_table"][prefix], theta, [len(prefix)])
+            assert abs(np.linalg.norm(s_m[0]) - 1.0) < 1e-6
     # index rows: 1000 random rows at random scales
     index = build_index(rng.standard_normal((1000, 24)) * rng.uniform(0.05, 20.0, (1000, 1)))
     assert np.all(np.abs(np.linalg.norm(index.matrix, axis=1) - 1.0) < 1e-6)

@@ -10,7 +10,7 @@ import semsr.dataset as ds
 from semsr import model
 from semsr.cli import main
 from semsr.config import RunConfig, load_config
-from semsr.embeddings import pseudo_semantic_table
+from semsr.embeddings import pseudo_semantic_table, save_semantic_tsv
 from semsr.errors import DataError
 from semsr.llm import build_fewshot_strategy, build_prompt, load_templates, prompt_hash
 from semsr.metrics import rr_at_k
@@ -27,7 +27,6 @@ class TestConfig:
         assert cfg.ks == (20, 100)
         assert cfg.min_item_freq == 5 and cfg.min_session_len == 2
         assert cfg.ratios == (0.8, 0.1, 0.1)
-        assert cfg.backbone == "attn-niser"
 
     def test_file_values_and_overrides(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -37,7 +36,7 @@ class TestConfig:
         assert cfg.ks == (5, 10)
         assert cfg.seed == 9  # flag wins
 
-    @pytest.mark.parametrize("key", ["learning_rate", "init", "beta1", "beta2", "epsilon"])
+    @pytest.mark.parametrize("key", ["learning_rate", "init", "beta1", "beta2", "epsilon", "backbone"])
     def test_unknown_key_rejected(self, tmp_path, key):
         f = tmp_path / "run.cfg"
         f.write_text(f"{key} = 0.1\n")
@@ -307,6 +306,38 @@ class TestTrainEvalCommands:
         assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert named in err and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_retrain_into_the_same_out_replaces_the_checkpoint(self, workspace):
+        cfg = str(workspace / "run.cfg")
+        for variant in ("sem-f", "base"):
+            assert main(["train", "--config", cfg, "--variant", variant, "--out", str(workspace / "m")]) == 0
+        assert main(["eval", "--config", cfg, "--checkpoint", str(workspace / "m" / "checkpoint"), "--out", str(workspace / "e")]) == 0
+        assert not (workspace / "m" / "checkpoint" / "W4.bin").exists()
+
+    def test_semf_scored_with_another_semantic_export_is_exit_2(self, workspace, capsys):
+        # two exports of the same width: a sem-f checkpoint only scores with its own
+        catalog = ds.load_catalog(workspace / "data" / "catalog.json")
+        matrix = pseudo_semantic_table(catalog, 12).matrix
+        for name, rows in (("a.tsv", matrix), ("b.tsv", matrix[::-1])):
+            save_semantic_tsv(workspace / name, catalog, rows)
+            (workspace / f"{name}.cfg").write_text(BASE_CFG + f"semantic_path = {name}\n")
+        ckpt = workspace / "m" / "checkpoint"
+        assert main(["train", "--config", str(workspace / "a.tsv.cfg"), "--variant", "sem-f", "--out", str(ckpt.parent)]) == 0
+        assert sorted(p.name for p in ckpt.parent.iterdir()) == ["checkpoint", "history.json"]
+        cands = workspace / "e" / "cands.jsonl"
+        assert main([
+            "eval", "--config", str(workspace / "a.tsv.cfg"), "--checkpoint", str(ckpt),
+            "--out", str(workspace / "e"), "--dump-candidates", str(cands),
+        ]) == 0
+        for argv in (
+            ["eval", "--checkpoint", str(ckpt), "--out", str(workspace / "e")],
+            ["rerank", "--candidates", str(cands), "--ranker-checkpoint", str(ckpt), "--out", str(workspace / "r")],
+        ):
+            capsys.readouterr()
+            assert main([argv[0], "--config", str(workspace / "b.tsv.cfg"), *argv[1:]]) == 2
+            err = capsys.readouterr().err
+            assert str(ckpt / "manifest.json") in err and "b.tsv" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_divergence_is_exit_1_with_checkpoint_retained(self, workspace, capsys):
         cfg = workspace / "diverge.cfg"

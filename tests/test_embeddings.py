@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import clustered_semantic, make_catalog, make_semantic
+from oracles import svd_projection
 from semsr.dataset import ItemMeta
 from semsr.embeddings import (
     SemanticItemTable,
@@ -133,6 +134,31 @@ class TestProjection:
         table = SemanticItemTable(matrix=np.random.default_rng(0).standard_normal((4, 6)))
         with pytest.raises(DataError, match="exceeds"):
             fit_projection(table, 5)
+
+
+class TestProjectionReference:
+    def test_gapped_input_matches_svd_reference(self):
+        # 20 clusters span 19 centered directions, well above the noise
+        # (singular values 1.06 vs 0.54 across the cut), none repeated
+        semantic, _ = clustered_semantic(100, 20, 64, noise=0.3)
+        basis, mean = svd_projection(semantic.matrix, 19)
+        proj = fit_projection(semantic, 19)
+        assert np.max(np.abs(proj.basis - basis)) < 1e-10
+        np.testing.assert_array_equal(proj.mean, mean)
+        rows = (semantic.matrix - mean) @ basis
+        expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        table = init_model("sem-i", 100, 19, 64, 8, seed=0, semantic=semantic).tensors["item_table"]
+        assert np.max(np.abs(table - expected)) < 1e-10
+
+    def test_near_rank_deficient_input_takes_completion_path(self):
+        # rank 2 plus entries of order 1e-9: their squared size sits below
+        # the noise floor of the Gram eigenvalues, so they are not rank
+        rng = np.random.default_rng(12)
+        exact = rng.standard_normal((40, 2)) @ rng.standard_normal((2, 10))
+        table = SemanticItemTable(matrix=exact + 1e-9 * rng.standard_normal((40, 10)))
+        with pytest.warns(UserWarning, match="rank 2 < d1=4; padding with orthonormal completion"):
+            proj = fit_projection(table, 4)
+        assert np.max(np.abs(proj.basis.T @ proj.basis - np.eye(4))) < 1e-12
 
 
 class TestInitTrainable:

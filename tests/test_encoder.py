@@ -36,10 +36,10 @@ class TestAttentionForward:
     def test_length_one_uses_empty_sum(self):
         p = hand_params(3)
         rows = np.array([[0.4, -0.2, 0.9]])
-        out, alphas, _ = attention_forward(rows, p)
+        out, alphas, _ = attention_forward(rows, p, [1])
         assert alphas.size == 0
         expected = p["W3"] @ np.concatenate([np.zeros(3), rows[0]])
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_zero_weights_give_uniform_attention(self):
         w = 4
@@ -51,18 +51,18 @@ class TestAttentionForward:
             "W3": np.concatenate([np.eye(w), np.zeros((w, w))], axis=1),
         }
         rows = np.random.default_rng(2).standard_normal((5, w))
-        out, alphas, _ = attention_forward(rows, p)
+        out, alphas, _ = attention_forward(rows, p, [5])
         np.testing.assert_allclose(alphas, 0.25, atol=1e-12)
-        np.testing.assert_allclose(out, rows[:-1].mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(out[0], rows[:-1].mean(axis=0), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         p = hand_params(2)
         rows = np.array([[0.3, -0.5], [0.8, 0.1], [-0.2, 0.6]])
-        out, alphas, _ = attention_forward(rows, p)
+        out, alphas, _ = attention_forward(rows, p, [3])
         exp_out, exp_alphas = scalar_attention(
             rows.tolist(), *(p[k].tolist() for k in ("q", "c", "W1", "W2", "W3"))
         )
-        np.testing.assert_allclose(out, exp_out, atol=1e-12)
+        np.testing.assert_allclose(out[0], exp_out, atol=1e-12)
         np.testing.assert_allclose(alphas, exp_alphas, atol=1e-12)
 
     def test_weights_normalized_for_longer_prefixes(self):
@@ -73,7 +73,7 @@ class TestAttentionForward:
             w = int(rng.integers(2, 8))
             L = int(rng.integers(2, 12))
             p = init_attention_tensors(w, rng)
-            _, alphas, _ = attention_forward(rng.standard_normal((L, w)), p)
+            _, alphas, _ = attention_forward(rng.standard_normal((L, w)), p, [L])
             assert abs(alphas.sum() - 1.0) < 1e-6
             assert np.all(alphas > 0)
             assert np.all(alphas < 1) if L > 2 else np.all(alphas <= 1)
@@ -85,8 +85,8 @@ class TestAttentionForward:
         rows = rng.standard_normal((4, 5))
         swapped = rows.copy()
         swapped[[1, 3]] = swapped[[3, 1]]
-        out_a, _, _ = attention_forward(rows, p)
-        out_b, _, _ = attention_forward(swapped, p)
+        out_a, _, _ = attention_forward(rows, p, [4])
+        out_b, _, _ = attention_forward(swapped, p, [4])
         assert not np.allclose(out_a, out_b)
 
 
@@ -109,7 +109,7 @@ class TestAttentionBackward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         p = init_attention_tensors(4, rng)
-        assert_matches_finite_differences(rng.standard_normal((5, 4)), p, None, rng.standard_normal(4))
+        assert_matches_finite_differences(rng.standard_normal((5, 4)), p, [5], rng.standard_normal((1, 4)))
 
     def test_packed_gradients_match_finite_differences(self):
         # a packed batch with a length-1 prefix between two longer ones
@@ -122,7 +122,7 @@ class TestAttentionBackward:
 
 def assert_packed_matches_unbatched(prefixes, p, d_out):
     """One packed call over `prefixes` (each (L, w)) gives each prefix's
-    output, alphas and row gradients of its own one-prefix call, and the
+    output, alphas and row gradients of its own call with lengths [L], and the
     weight gradients summed over those calls."""
     rows, lengths = np.concatenate(prefixes), np.array([len(x) for x in prefixes])
     out, alphas, cache = attention_forward(rows, p, lengths)
@@ -132,9 +132,9 @@ def assert_packed_matches_unbatched(prefixes, p, d_out):
     summed = {k: np.zeros_like(v) for k, v in grads.items()}
     row = 0  # prefix i starts at row `row` and at alpha `row - i` (one query row per earlier prefix)
     for i, x in enumerate(prefixes):
-        out_i, alphas_i, cache_i = attention_forward(x, p)
-        grads_i, d_rows_i = attention_backward(cache_i, d_out[i])
-        np.testing.assert_allclose(out[i], out_i, atol=1e-12)
+        out_i, alphas_i, cache_i = attention_forward(x, p, [len(x)])
+        grads_i, d_rows_i = attention_backward(cache_i, d_out[i : i + 1])
+        np.testing.assert_allclose(out[i], out_i[0], atol=1e-12)
         np.testing.assert_allclose(alphas[row - i : row - i + len(x) - 1], alphas_i, atol=1e-12)
         np.testing.assert_allclose(d_rows[row : row + len(x)], d_rows_i, atol=1e-12)
         for k in summed:
@@ -174,8 +174,8 @@ class TestSemanticEncoder:
         p = init_attention_tensors(7, np.random.default_rng(1))
         for L in (1, 2, 3, 10, 50):
             prefix = list(np.random.default_rng(L).integers(0, 60, size=L))
-            s_l, alphas, _ = attention_forward(semantic.matrix[prefix], p)
-            assert s_l.shape == (7,)
+            s_l, alphas, _ = attention_forward(semantic.matrix[prefix], p, [L])
+            assert s_l.shape == (1, 7)
             assert alphas.shape == (max(L - 1, 0),)
 
     def test_empty_prefix_rejected(self):
@@ -194,28 +194,28 @@ class TestReferenceBackbone:
         table = rng.standard_normal((40, 6))
         for L in (1, 2, 5, 50):
             prefix = list(rng.integers(0, 40, size=L))
-            s_m, _ = backbone.forward(table[prefix], tensors)
-            assert s_m.shape == (6,)
-            assert abs(np.linalg.norm(s_m) - 1.0) < 1e-6
+            s_m, _ = backbone.forward(table[prefix], tensors, [L])
+            assert s_m.shape == (1, 6)
+            assert abs(np.linalg.norm(s_m[0]) - 1.0) < 1e-6
 
     def test_length_one_formula(self):
         rng = np.random.default_rng(4)
         tensors = init_attention_tensors(3, rng)
         table = rng.standard_normal((5, 3))
-        s_m, _ = get_backbone("attn-niser").forward(table[[2]], tensors)
+        s_m, _ = get_backbone("attn-niser").forward(table[[2]], tensors, [1])
         last = table[2] / np.linalg.norm(table[2])
         z = tensors["W3"] @ np.concatenate([np.zeros(3), last])
-        np.testing.assert_allclose(s_m, z / np.linalg.norm(z), atol=1e-12)
+        np.testing.assert_allclose(s_m[0], z / np.linalg.norm(z), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         tensors = hand_params(2)
         table = np.array([[0.5, 0.1], [-0.4, 0.9], [0.3, 0.3], [0.2, -0.7]])
-        s_m, _ = get_backbone("attn-niser").forward(table[[0, 3, 1]], tensors)
+        s_m, _ = get_backbone("attn-niser").forward(table[[0, 3, 1]], tensors, [3])
         expected = scalar_backbone(
             [table[0].tolist(), table[3].tolist(), table[1].tolist()],
             {k: np.asarray(v).tolist() for k, v in tensors.items()},
         )
-        np.testing.assert_allclose(s_m, expected, atol=1e-12)
+        np.testing.assert_allclose(s_m[0], expected, atol=1e-12)
 
     def test_scale_must_be_positive(self, tmp_path):
         with pytest.raises(DataError, match="positive"):
@@ -253,18 +253,16 @@ class MeanPoolBackbone:
         return {"proj": rng.uniform(-0.5, 0.5, size=(d1, d1)), "bias": rng.uniform(-0.5, 0.5, size=d1)}
 
     @staticmethod
-    def forward(raw_rows, tensors, lengths=None):
-        sizes = np.array([len(raw_rows)]) if lengths is None else lengths
-        seg = np.repeat(np.arange(len(sizes)), sizes)  # each row's prefix
-        pooled = np.zeros((len(sizes), raw_rows.shape[1]))
-        np.add.at(pooled, seg, raw_rows / sizes[seg, None])
+    def forward(raw_rows, tensors, lengths):
+        seg = np.repeat(np.arange(len(lengths)), lengths)  # each row's prefix
+        pooled = np.zeros((len(lengths), raw_rows.shape[1]))
+        np.add.at(pooled, seg, raw_rows / lengths[seg, None])
         s_m = pooled @ tensors["proj"].T + tensors["bias"]
-        cache = {"seg": seg, "sizes": sizes, "pooled": pooled, "proj": tensors["proj"]}
-        return (s_m[0] if lengths is None else s_m), cache
+        cache = {"seg": seg, "sizes": lengths, "pooled": pooled, "proj": tensors["proj"]}
+        return s_m, cache
 
     @staticmethod
     def backward(cache, d_out):
-        d_out = d_out.reshape(len(cache["sizes"]), -1)
         grads = {"proj": d_out.T @ cache["pooled"], "bias": d_out.sum(axis=0)}
         return grads, ((d_out @ cache["proj"]) / cache["sizes"][:, None])[cache["seg"]]
 

@@ -221,7 +221,7 @@ class TestCheckpoints:
 
     def test_blob_layout(self, tmp_path):
         # rank u64 LE, dims u64 LE each, float32 LE row-major
-        params, _ = small_model("sem-f", n=4, d1=2, d2=3, d=2)
+        params, semantic = small_model("sem-f", n=4, d1=2, d2=3, d=2)
         save_checkpoint(tmp_path / "ckpt", params)
         raw = (tmp_path / "ckpt" / "W4.bin").read_bytes()
         rank = struct.unpack_from("<Q", raw, 0)[0]
@@ -236,8 +236,30 @@ class TestCheckpoints:
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
         assert manifest == {
             "variant": "sem-f", "backbone": "attn-niser", "d1": 2, "d2": 3, "d": 2,
-            "scale": 16.0, "seed": 0, "step": 0,
+            "scale": 16.0, "seed": 0, "step": 0, "semantic_fingerprint": semantic.fingerprint,
         }
+
+    def test_resave_replaces_the_directory(self, tmp_path):
+        # a base model saved over a sem-f one must not inherit its attn.*/W4/W5 blobs
+        fused, _ = small_model("sem-f", n=6, d1=2, d2=3, d=2)
+        base, _ = small_model("base", n=6, d1=2, d2=3, d=2, seed=1)
+        save_checkpoint(tmp_path / "ckpt", fused)
+        (tmp_path / ".ckpt.new").mkdir()  # left behind by an interrupted save
+        save_checkpoint(tmp_path / "ckpt", base)
+        back = load_checkpoint(tmp_path / "ckpt")
+        assert back.variant == "base" and set(back.tensors) == set(base.tensors)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+
+    def test_semf_manifest_needs_the_semantic_fingerprint(self, tmp_path):
+        params, semantic = small_model("sem-f")
+        save_checkpoint(tmp_path / "ckpt", params)
+        assert load_checkpoint(tmp_path / "ckpt").semantic_fingerprint == semantic.fingerprint
+        path = tmp_path / "ckpt" / "manifest.json"
+        fields = json.loads(path.read_text())
+        del fields["semantic_fingerprint"]
+        path.write_text(json.dumps(fields))
+        with pytest.raises(DataError, match="manifest.json: 'semantic_fingerprint' is missing"):
+            load_checkpoint(tmp_path / "ckpt")
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
