@@ -58,7 +58,7 @@ class Projection:
 
 
 def fingerprint_matrix(matrix: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(matrix)).hexdigest()  # hashes the buffer, no bytes copy
 
 
 def item_text(item: ItemMeta) -> str:
@@ -114,12 +114,16 @@ def _load_semantic_binary(path: Path, catalog: Catalog) -> SemanticItemTable:
     n, d2 = struct.unpack_from("<QQ", raw, len(_MAGIC))
     if n != catalog.n:
         raise DataError(f"{path}: file has {n} rows, catalog has {catalog.n} items")
+    if d2 == 0:
+        raise DataError(f"{path}: semantic width d2 is 0")
     expected = len(_MAGIC) + 16 + n * d2 * 4
     if len(raw) != expected:
         raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
     data = np.frombuffer(raw, dtype="<f4", offset=len(_MAGIC) + 16)
-    matrix = data.astype(np.float64).reshape(n, d2)
-    return SemanticItemTable(matrix=matrix)
+    try:
+        return SemanticItemTable(matrix=data.astype(np.float64).reshape(n, d2))
+    except DataError as exc:  # non-finite values
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _load_semantic_tsv(path: Path, catalog: Catalog) -> SemanticItemTable:

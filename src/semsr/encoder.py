@@ -29,6 +29,13 @@ matching backward passes, which return weight gradients summed over the
 batch and one gradient per input row. Gradients are derived by hand (no
 autodiff anywhere in the package); softmax and normalize_rows with its
 Jacobian are written once, here, and shared with the scoring side.
+
+Row-wise chains (softmax, normalize_rows and its backward; in train the
+cross-entropy and Adam) run whole per row_blocks slice of about BLOCK_BYTES,
+into one preallocated output, so a megabytes-wide (B, n) logit array or
+(n, d1) table is not streamed through memory once per NumPy call. Each block
+applies the same operations in the same order to whole rows, and every
+reduction is within a row: results are bitwise those of the one-pass chain.
 """
 
 import numpy as np
@@ -43,12 +50,25 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax along `axis`; an all -inf slice (empty attention set) gives zeros."""
-    mx = np.max(x, axis=axis, keepdims=True, initial=-np.inf)
-    ex = np.exp(x - np.where(np.isneginf(mx), 0.0, mx))
-    total = np.sum(ex, axis=axis, keepdims=True)
-    return ex / np.where(total == 0, 1.0, total)
+BLOCK_BYTES = 1 << 18  # float64 bytes per row block: well inside a 1-2 MB L2 cache
+
+
+def row_blocks(n_rows: int, row_len: int):
+    """Consecutive slices over n_rows float64 rows of row_len values, ~BLOCK_BYTES (>= 1 row) each."""
+    step = max(1, BLOCK_BYTES // (8 * max(row_len, 1)))
+    return (slice(start, start + step) for start in range(0, n_rows, step))
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis; an all -inf row (empty attention set) gives zeros."""
+    rows = np.atleast_2d(x)
+    out = np.empty(rows.shape)
+    for b in row_blocks(*rows.shape):
+        mx = np.max(rows[b], axis=-1, keepdims=True, initial=-np.inf)
+        ex = np.exp(rows[b] - np.where(np.isneginf(mx), 0.0, mx))
+        total = np.sum(ex, axis=-1, keepdims=True)
+        np.divide(ex, np.where(total == 0, 1.0, total), out=out[b])
+    return out.reshape(x.shape)
 
 
 def attention_shapes(width: int) -> dict[str, tuple[int, ...]]:
@@ -122,16 +142,25 @@ def attention_backward(cache: dict, d_out: np.ndarray):
 
 
 def normalize_rows(rows: np.ndarray, what: str):
-    """(unit, norms) of `rows` along the last axis; a zero row raises NumericError."""
-    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
-    if np.any(norms == 0):
-        raise NumericError(f"zero-norm row in {what}")
-    return rows / norms, norms
+    """(unit, norms) of the rows of a 2-D `rows`; a zero row raises NumericError."""
+    unit, norms = np.empty(rows.shape), np.empty((len(rows), 1))
+    for b in row_blocks(*rows.shape):
+        r, u = rows[b], unit[b]
+        # np.linalg.norm's arithmetic, inlined (its per-call cost adds up over blocks); u holds r * r until the divide
+        np.sqrt(np.add.reduce(np.multiply(r, r, out=u), axis=-1, keepdims=True), out=norms[b])
+        if np.any(norms[b] == 0):
+            raise NumericError(f"zero-norm row in {what}")
+        np.divide(r, norms[b], out=u)
+    return unit, norms
 
 
 def normalize_rows_backward(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
     """normalize_rows' Jacobian: raw-row gradient (d - u <u, d>) / |r| of d_unit."""
-    return (d_unit - unit * np.sum(unit * d_unit, axis=-1, keepdims=True)) / norms
+    out = np.empty(d_unit.shape)
+    for b in row_blocks(*unit.shape):
+        u, d = unit[b], d_unit[b]
+        np.divide(d - u * np.sum(u * d, axis=-1, keepdims=True), norms[b], out=out[b])
+    return out
 
 
 class AttnNiserBackbone:

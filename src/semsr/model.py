@@ -15,6 +15,7 @@ rank and dims as u64 LE, then float32 LE values row-major.
 """
 
 import json
+import math
 import shutil
 import struct
 from dataclasses import dataclass, field
@@ -115,9 +116,9 @@ def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_scale(scale: float) -> None:
-    if not scale > 0:
-        raise DataError(f"scale must be positive, got {scale}")
+def _check_scale(scale: float, where: str = "") -> None:
+    if not 0 < scale < math.inf:
+        raise DataError(f"{where}scale must be finite and positive, got {scale}")
 
 
 def normalized_item_matrix(params: ModelParams):
@@ -178,7 +179,7 @@ def score_chunks(prefixes, params: ModelParams, semantic: SemanticItemTable | No
     items = item_matrix(params, semantic)
     for start in range(0, len(prefixes), SCORE_CHUNK):
         logits, _ = forward(prefixes[start : start + SCORE_CHUNK], params, semantic, items)
-        yield _check_finite("probabilities", softmax(logits, axis=1))
+        yield _check_finite("probabilities", softmax(logits))
 
 
 def score_all(prefix, params: ModelParams, semantic: SemanticItemTable | None = None) -> np.ndarray:
@@ -230,11 +231,14 @@ def load_checkpoint(directory) -> ModelParams:
     for key, typ in {**_MANIFEST, **own}.items():
         try:
             fields[key] = typ(m[key])
-        except (KeyError, TypeError, ValueError):
-            raise DataError(f"{manifest_path}: {key!r} is missing or not a {typ.__name__}") from None
+            if typ is int and (isinstance(m[key], bool) or fields[key] != m[key] or fields[key] < 0):
+                raise ValueError  # 8.7 or -5 is an error, not a truncation
+        except (KeyError, TypeError, ValueError, OverflowError):
+            kind = "non-negative integer" if typ is int else typ.__name__
+            raise DataError(f"{manifest_path}: {key!r} is missing or not a {kind}") from None
     if fields["variant"] not in VARIANTS:
         raise DataError(f"{manifest_path}: unknown variant {fields['variant']!r}; expected one of {VARIANTS}")
-    _check_scale(fields["scale"])
+    _check_scale(fields["scale"], f"{manifest_path}: ")
     params = ModelParams(**fields)
     # the backbone's bb.* tensors are its own business
     shapes = {}
@@ -269,7 +273,9 @@ def _read_tensor(path: Path) -> np.ndarray:
         raise DataError(f"{path}: blob of {len(raw)} bytes is shorter than its header")
     dims = struct.unpack_from(f"<{rank}Q", raw, 8)
     data = np.frombuffer(raw, dtype="<f4", offset=8 + 8 * rank)
-    expected = int(np.prod(dims)) if dims else 0
+    expected = math.prod(dims) if dims else 0
     if data.size != expected:
         raise DataError(f"{path}: expected {expected} values, found {data.size}")
+    if not np.all(np.isfinite(data)):
+        raise DataError(f"{path}: non-finite values")
     return data.astype(np.float64).reshape(dims)

@@ -16,16 +16,17 @@ The softmax over all n items gives every item-table row a gradient (the
 scoring side is dense); prefix rows additionally receive the sparse
 session-side contribution, scattered with one np.add.at over the packed
 prefix rows (real rows only). Gradients are batch means. The semantic
-table is frozen and never receives a gradient.
+table is frozen and never receives a gradient. The cross-entropy and Adam
+run over encoder.row_blocks, bitwise equal to their one-pass forms.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .embeddings import SemanticItemTable
-from .encoder import attention_backward, get_backbone, normalize_rows_backward
+from .encoder import attention_backward, get_backbone, normalize_rows_backward, row_blocks
 from .encoder import attention_forward  # noqa: F401 -- not called here; bench/tracing.py patches it
 from .errors import DataError, NumericError
 from .metrics import recall_at_k
@@ -60,6 +61,19 @@ class TrainingDiverged(NumericError):
         self.history = history
 
 
+def cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """(losses (B,), delta (B, n)): -log softmax(logits)[target] per row, d(mean loss)/d(logits)."""
+    B, n = logits.shape
+    lse, delta = np.empty(B), np.empty((B, n))
+    for b in row_blocks(B, n):
+        mx = logits[b].max(axis=1, keepdims=True)
+        lse[b] = mx[:, 0] + np.log(np.exp(logits[b] - mx).sum(axis=1))
+        np.exp(logits[b] - lse[b, None], out=delta[b])
+        delta[b][np.arange(len(mx)), targets[b]] -= 1.0
+        delta[b] /= B
+    return lse - logits[np.arange(B), targets], delta
+
+
 def loss_and_grad(batch, params: ModelParams, semantic: SemanticItemTable | None = None):
     """Mean cross-entropy over the batch plus gradients for every trainable
     tensor, from one batched forward and one batched backward."""
@@ -73,16 +87,10 @@ def loss_and_grad(batch, params: ModelParams, semantic: SemanticItemTable | None
     B = len(batch)
     logits, cache = forward([ex.prefix for ex in batch], params, semantic, item_matrix(params, semantic))
 
-    mx = logits.max(axis=1, keepdims=True)
-    lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
-    losses = lse - logits[np.arange(B), targets]
+    losses, delta = cross_entropy(logits, targets)
     mean_loss = float(losses.mean())
     if not math.isfinite(mean_loss):
         raise NumericError("non-finite loss")
-
-    delta = np.exp(logits - lse[:, None])
-    delta[np.arange(B), targets] -= 1.0
-    delta /= B  # (B, n): gradient of the mean loss wrt logits
 
     M, norms = cache["items"]
     dS = delta @ M  # (B, d) for sem-f, else (B, d1) before the scale
@@ -128,15 +136,15 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         g = grads[name]
         if g.shape != tensor.shape:
             raise DataError(f"gradient shape {g.shape} != tensor shape {tensor.shape} for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        tensor -= state.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+        for b in row_blocks(len(tensor), tensor.size // len(tensor)):
+            m, v, gb = state.m[name][b], state.v[name][b], g[b]
+            m *= BETA1
+            m += (1.0 - BETA1) * gb
+            v *= BETA2
+            v += (1.0 - BETA2) * gb * gb
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
+            tensor[b] -= state.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 def fit(
@@ -170,10 +178,7 @@ def fit(
     since_best = 0
 
     def best_params() -> ModelParams:
-        out = params.copy()
-        out.tensors = {k: v.copy() for k, v in best_tensors.items()}
-        out.step = best_step
-        return out
+        return replace(params, step=best_step, tensors={k: v.copy() for k, v in best_tensors.items()})
 
     for epoch in range(1, epochs + 1):
         perm = rng.permutation(len(train_examples))

@@ -1,7 +1,8 @@
 """Independent oracles: straight-line scalar implementations used to check
 the vectorized code paths. Everything here sticks to plain Python floats
-and lists on purpose, except the PCA reference, which needs an SVD; none
-of it shares code with the package."""
+and lists on purpose, except the PCA reference, which needs an SVD, and
+the one-pass NumPy forms of the row-blocked kernels, which the blocked
+ones must equal bit for bit; none of it shares code with the package."""
 
 import math
 
@@ -105,6 +106,49 @@ def svd_projection(matrix: np.ndarray, d1: int):
         if basis[np.argmax(np.abs(basis[:, j])), j] < 0:
             basis[:, j] = -basis[:, j]
     return basis, mean
+
+
+def softmax_one_pass(x: np.ndarray) -> np.ndarray:
+    """encoder.softmax over the whole array at once, along the last axis."""
+    mx = np.max(x, axis=-1, keepdims=True, initial=-np.inf)
+    ex = np.exp(x - np.where(np.isneginf(mx), 0.0, mx))
+    total = np.sum(ex, axis=-1, keepdims=True)
+    return ex / np.where(total == 0, 1.0, total)
+
+
+def normalize_rows_one_pass(rows: np.ndarray):
+    """encoder.normalize_rows over the whole array at once: (unit, norms)."""
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows / norms, norms
+
+
+def normalize_rows_backward_one_pass(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
+    """encoder.normalize_rows_backward over the whole array at once."""
+    return (d_unit - unit * np.sum(unit * d_unit, axis=-1, keepdims=True)) / norms
+
+
+def cross_entropy_one_pass(logits: np.ndarray, targets: np.ndarray):
+    """train.cross_entropy over the whole batch at once: (losses, delta)."""
+    B = len(logits)
+    mx = logits.max(axis=1, keepdims=True)
+    lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+    losses = lse - logits[np.arange(B), targets]
+    delta = np.exp(logits - lse[:, None])
+    delta[np.arange(B), targets] -= 1.0
+    delta /= B
+    return losses, delta
+
+
+def adam_one_pass(tensor, g, m, v, t, lr, beta1, beta2, eps) -> None:
+    """train.adam_step's update of one tensor over the whole tensor at once,
+    in place on tensor, m and v."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    tensor -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def scalar_adam(theta0, grads_per_step, lr, beta1, beta2, eps):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from semsr.dataset import ItemMeta
 from semsr.embeddings import (
     SemanticItemTable,
     encode_text,
+    fingerprint_matrix,
     fit_projection,
     load_semantic_table,
     pseudo_encode,
@@ -70,6 +73,11 @@ class TestLoadSemantic:
         b = SemanticItemTable(matrix=np.ones((2, 3)))
         c = SemanticItemTable(matrix=np.ones((2, 3)) * 2)
         assert a.fingerprint == b.fingerprint != c.fingerprint
+
+    def test_fingerprint_hashes_the_bytes_of_the_contiguous_copy(self):
+        matrix = np.arange(60, dtype=float).reshape(6, 10) / 7.0
+        for view in (matrix, matrix[:, ::3], matrix.T, matrix[1:4]):
+            assert fingerprint_matrix(view) == hashlib.sha256(np.ascontiguousarray(view).tobytes()).hexdigest()
 
 
 class TestPseudoEncode:

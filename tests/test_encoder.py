@@ -321,5 +321,5 @@ class TestNumerics:
         assert abs(y.sum() - 1.0) < 1e-12
         assert np.all(np.isfinite(y))
         # an all -inf slice (an empty attention set) gives zeros, not NaN
-        y = softmax(np.array([[0.5, -np.inf], [-np.inf, -np.inf]]), axis=1)
+        y = softmax(np.array([[0.5, -np.inf], [-np.inf, -np.inf]]))
         assert y.tolist() == [[1.0, 0.0], [0.0, 0.0]]

@@ -9,6 +9,10 @@ the file.
 import contextlib
 import io
 import json
+import shutil
+import struct
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 
 from semsr import dataset as ds
 from semsr.cli import main
-from semsr.embeddings import pseudo_semantic_table, save_semantic_tsv
+from semsr.embeddings import pseudo_semantic_table, save_semantic_binary, save_semantic_tsv
 from test_cli import BASE_CFG, write_fixture_dataset
 
 
@@ -146,3 +150,53 @@ def test_corrupted_line_is_exit_2_naming_it(workspace, data):
     assert code == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"{path}:{idx + 1}:" in err and "Traceback" not in err
+
+
+def assert_exit_2_naming(code: int, err: str, path) -> None:
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err and "Traceback" not in err
+
+
+def _manifest(text: str, key: str, literal: str) -> str:
+    """The manifest JSON with `key`'s value replaced by the JSON literal."""
+    fields = json.loads(text)
+    fields[key] = "@"
+    return json.dumps(fields).replace('"@"', literal)
+
+
+CHECKPOINT_FAULTS = {
+    # dims 2^32 x 2^32 x 16 multiply to 2^68, which wraps to 0 in int64: an empty blob must not pass
+    "dims-overflow": ("item_table.bin", lambda raw: struct.pack("<4Q", 3, 2**32, 2**32, 16)),
+    "nan-in-blob": ("item_table.bin", lambda raw: raw[:-4] + struct.pack("<f", float("nan"))),
+    "inf-in-blob": ("bb.W1.bin", lambda raw: raw[:-4] + struct.pack("<f", float("-inf"))),
+    "infinite-scale": ("manifest.json", lambda raw: _manifest(raw.decode(), "scale", "1e999").encode()),
+    "fractional-d1": ("manifest.json", lambda raw: _manifest(raw.decode(), "d1", "8.7").encode()),
+    "negative-step": ("manifest.json", lambda raw: _manifest(raw.decode(), "step", "-5").encode()),
+    "boolean-seed": ("manifest.json", lambda raw: _manifest(raw.decode(), "seed", "true").encode()),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_bad_checkpoint_is_exit_2_naming_the_file(workspace, tmp_path, fault):
+    name, edit = CHECKPOINT_FAULTS[fault]
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(workspace / "base" / "checkpoint", ckpt)
+    (ckpt / name).write_bytes(edit((ckpt / name).read_bytes()))
+    code, err = run(["eval", "--config", str(workspace / "run.cfg"), "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+    assert_exit_2_naming(code, err, ckpt / name)
+
+
+@pytest.mark.parametrize("fault", ["zero-width", "nan-value"])
+def test_bad_semantic_binary_is_exit_2_naming_the_file(workspace, fault):
+    catalog = ds.load_catalog(workspace / "data" / "catalog.json")
+    matrix = np.zeros((catalog.n, 0)) if fault == "zero-width" else pseudo_semantic_table(catalog, 12).matrix
+    if fault == "nan-value":
+        matrix[catalog.n // 2, 3] = np.nan
+    path = workspace / f"{fault}.bin"
+    save_semantic_binary(path, matrix)
+    (workspace / f"{fault}.cfg").write_text(BASE_CFG + f"semantic_path = {path.name}\n")
+    for variant in ("sem-i", "sem-f"):
+        code, err = run(["train", "--config", str(workspace / f"{fault}.cfg"), "--variant", variant,
+                         "--out", str(workspace / f"{fault}-out")])
+        assert_exit_2_naming(code, err, path)
