@@ -22,7 +22,7 @@ from .embeddings import SemanticItemTable, load_semantic_table, pseudo_semantic_
 from .errors import DataError, SemsrError
 from .llm import HttpClient, MockClient, build_fewshot_strategy, build_title_index, load_templates, recommend_via_llm
 from .metrics import evaluate, recall_at_k, write_report
-from .model import VARIANTS, init_model, load_checkpoint, rank_examples, save_checkpoint, score_chunks
+from .model import VARIANTS, Scorer, init_model, load_checkpoint, save_checkpoint, scorer
 from .retrieval import read_candidates, rerank, write_candidates
 from .train import TrainingDiverged, fit
 
@@ -49,24 +49,17 @@ def _semantic_table(cfg: RunConfig, catalog, d2: int) -> SemanticItemTable:
     return pseudo_semantic_table(catalog, d2)
 
 
-def _checkpoint_semantic(cfg: RunConfig, path: Path, params, catalog):
-    """Check that the checkpoint at `path` fits the catalog and, for sem-f,
-    that the semantic table it scores with is the one it was trained with
-    (same width and fingerprint); returns that table (else None)."""
+def _checkpoint_scorer(cfg: RunConfig, path: Path, params, catalog) -> Scorer:
+    """The scorer of the checkpoint at `path`, which must fit the catalog; for
+    sem-f, `scorer` checks the configured semantic table against it."""
     if params.n != catalog.n:
         raise DataError(f"{path}: checkpoint has {params.n} items but the catalog has {catalog.n}")
-    if params.variant != "sem-f":
-        return None
-    semantic = _semantic_table(cfg, catalog, params.d2)
-    if semantic.d2 != params.d2:
-        raise DataError(f"{cfg.semantic_path}: semantic width {semantic.d2} != checkpoint d2={params.d2}")
-    if semantic.fingerprint != params.semantic_fingerprint:
+    semantic = _semantic_table(cfg, catalog, params.d2) if params.variant == "sem-f" else None
+    try:
+        return scorer(params, semantic)
+    except DataError as exc:  # only sem-f's pairing with its semantic table raises it
         source = cfg.semantic_path or "the pseudo-encoded semantic table"
-        raise DataError(
-            f"{path / 'manifest.json'}: trained with semantic table {params.semantic_fingerprint[:16]}, "
-            f"but {source} is {semantic.fingerprint[:16]}"
-        )
-    return semantic
+        raise DataError(f"{path / 'manifest.json'}: {exc}, from {source}") from None
 
 
 def _clamped_ks(cfg: RunConfig, n: int):
@@ -104,18 +97,14 @@ def cmd_train(cfg: RunConfig) -> int:
     train_examples = ds.expand_incremental(splits["train"])
     val_examples = ds.expand_incremental(splits["val"]) if splits["val"] else []
 
-    semantic = None
-    d2 = cfg.d2
-    if cfg.variant != "base":
-        semantic = _semantic_table(cfg, catalog, cfg.d2)
-        d2 = semantic.d2
+    semantic = _semantic_table(cfg, catalog, cfg.d2) if cfg.variant != "base" else None
+    d2 = semantic.d2 if semantic is not None else cfg.d2
     params = init_model(cfg.variant, catalog.n, cfg.d1, d2, cfg.d, cfg.seed, scale=cfg.scale, semantic=semantic)
     out = Path(cfg.out_dir or "run")
     out.mkdir(parents=True, exist_ok=True)
-    fit_semantic = semantic if cfg.variant == "sem-f" else None
     try:
         best, history = fit(
-            train_examples, val_examples, params, fit_semantic,
+            train_examples, val_examples, params, semantic,
             epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
             patience=cfg.patience, seed=cfg.seed, val_k=cfg.val_k,
         )
@@ -141,10 +130,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     examples = ds.expand_incremental(splits["test"])
     if not examples:
         raise DataError("empty test split")
-    semantic = _checkpoint_semantic(cfg, path, params, catalog)
     ks = _clamped_ks(cfg, catalog.n)
-    k_max = max(ks)
-    ranked = rank_examples(params, semantic, examples, k_max)
+    ranked = _checkpoint_scorer(cfg, path, params, catalog).rank(examples, max(ks))
     result = evaluate(ranked, [ex.target for ex in examples], ks)
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -169,11 +156,11 @@ def cmd_rerank(cfg: RunConfig) -> int:
     ks = _clamped_ks(cfg, catalog.n)
     if any(len(c) < max(ks) for c in candidates):
         raise DataError(f"{path}: candidate lists shorter than K={max(ks)}")
-    semantic = _checkpoint_semantic(cfg, ranker_path, ranker, catalog)
+    ranker_scorer = _checkpoint_scorer(cfg, ranker_path, ranker, catalog)
 
     # Ranker scores are consumed one chunk at a time; only the reranked heads are kept.
     reranked = {k: [] for k in ks}
-    rows = chain.from_iterable(score_chunks([ex.prefix for ex in examples], ranker, semantic))
+    rows = chain.from_iterable(ranker_scorer.probabilities([ex.prefix for ex in examples]))
     for scores, cand, ex in zip(rows, candidates, examples):
         for k in ks:
             head = rerank(cand, scores, k)

@@ -8,6 +8,7 @@ rejected so typos fail fast.
 """
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,8 +90,8 @@ def _check_range(name: str, value) -> None:
         raise DataError(f"unknown variant {value!r}")
     if name in _AT_LEAST_ONE and value < 1:
         raise DataError(f"{name} must be >= 1")
-    if name in ("scale", "lr") and value <= 0:
-        raise DataError(f"{name} must be positive")
+    if name in ("scale", "lr", "timeout") and not 0 < value < math.inf:
+        raise DataError(f"{name} must be {'positive' if value <= 0 else 'finite'}")
     if name == "ks" and any(k < 1 for k in value):
         raise DataError("every K must be >= 1")
     if name == "min_session_len" and value < 2:

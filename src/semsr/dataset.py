@@ -262,8 +262,8 @@ def _apportion(total: int, ratios: tuple[float, ...]) -> list[int]:
 
 
 def check_ratios(ratios: tuple[float, ...]) -> None:
-    """The split-ratio rule: three values, each >= 0, that sum to 1."""
-    if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+    """The split-ratio rule: three values, each >= 0 (so not NaN), that sum to 1."""
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError("ratios must be three values >= 0 that sum to 1")
 
 

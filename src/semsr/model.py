@@ -8,6 +8,10 @@ sem-f   -- fuses the two views: s = W4 [s_m; s_l] and per-item
            f_k = W5 [i_m_k; i_l_k], scored by raw dot products f_k^T s
            (no scale), then softmaxed
 
+`scorer(params, semantic)` builds a model's item side once. The frozen Scorer
+it returns runs the batched forward, chunked probabilities and ranking, and
+is the one place that checks a sem-f model against its semantic table.
+
 Checkpoints are a directory: manifest.json (variant, widths, backbone key,
 scale, seed, step; for sem-f also the fingerprint of the semantic table it
 was trained with) plus one <tensor>.bin per named tensor. Each blob is
@@ -18,13 +22,13 @@ import json
 import math
 import shutil
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .embeddings import SemanticItemTable, fit_projection
-from .encoder import attention_forward, attention_shapes, get_backbone, init_attention_tensors, normalize_rows, softmax
+from .encoder import BACKBONES, attention_forward, attention_shapes, get_backbone, init_attention_tensors, normalize_rows, softmax
 from .errors import DataError, NumericError
 from .retrieval import RankedList, top_k
 
@@ -53,13 +57,7 @@ class ModelParams:
         return {k[len(prefix) :]: v for k, v in self.tensors.items() if k.startswith(prefix)}
 
     def copy(self) -> "ModelParams":
-        clone = ModelParams(
-            variant=self.variant, backbone=self.backbone, d1=self.d1, d2=self.d2,
-            d=self.d, scale=self.scale, seed=self.seed, step=self.step,
-            semantic_fingerprint=self.semantic_fingerprint,
-        )
-        clone.tensors = {k: v.copy() for k, v in self.tensors.items()}
-        return clone
+        return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
 
 
 def init_model(
@@ -129,68 +127,80 @@ def normalized_item_matrix(params: ModelParams):
 def fused_item_matrix(params: ModelParams, semantic: SemanticItemTable) -> np.ndarray:
     """Semantic-aware item embeddings: row k is W5 [i_m_k; i_l_k], (n, d),
     computed block by block so [i_m; i_l] is never materialized."""
-    if semantic is None:
-        raise DataError("sem-f scoring needs the semantic table at every forward pass")
     table, W5 = params.tensors["item_table"], params.tensors["W5"]
     d1 = table.shape[1]
     return _check_finite("fused item embeddings", table @ W5[:, :d1].T + semantic.matrix @ W5[:, d1:].T)
 
 
-def item_matrix(params: ModelParams, semantic: SemanticItemTable | None):
-    """(M, norms): the rows every session is scored against -- the fused
-    rows for sem-f (norms None), else the normalized trainable rows."""
-    if params.variant == "sem-f":
-        return fused_item_matrix(params, semantic), None
-    return normalized_item_matrix(params)
-
-
-def forward(prefixes, params: ModelParams, semantic: SemanticItemTable | None, items):
-    """Logits (B, n) of a batch of prefixes against `items` (from
-    item_matrix), plus the cache the training backward pass reads.
-
-    The prefixes are packed: their item indices are concatenated into one
-    (R,) vector with `lengths` (B,), and only those R real rows are encoded.
-    """
-    lengths = np.array([len(p) for p in prefixes])
-    if np.any(lengths == 0):
-        raise DataError("prefix must be non-empty")
-    idx = np.concatenate(prefixes, dtype=np.intp)
-    S_m, bb_cache = get_backbone(params.backbone).forward(params.tensors["item_table"][idx], params.scoped("bb."), lengths)
-    _check_finite("session embedding s_m", S_m)
-    cache = {"idx": idx, "bb": bb_cache, "items": items}
-    if params.variant == "sem-f":
-        S_l, _, cache["attn"] = attention_forward(semantic.matrix[idx], params.scoped("attn."), lengths)
-        _check_finite("session embedding s_l", S_l)
-        cache["cat"] = np.concatenate([S_m, S_l], axis=1)  # (B, d1+d2)
-        S = _check_finite("fused session embedding", cache["cat"] @ params.tensors["W4"].T)
-    else:
-        S = params.scale * S_m
-    cache["S"] = S
-    return _check_finite("logits", S @ items[0].T), cache
-
-
 SCORE_CHUNK = 256  # prefixes per batched forward when scoring
 
 
-def score_chunks(prefixes, params: ModelParams, semantic: SemanticItemTable | None = None):
-    """Yield relevance probabilities (B, n), each row summing to 1, for
-    consecutive chunks of `prefixes`, in order. The item-side matrix is
-    built once per call and each chunk is one batched forward."""
-    items = item_matrix(params, semantic)
-    for start in range(0, len(prefixes), SCORE_CHUNK):
-        logits, _ = forward(prefixes[start : start + SCORE_CHUNK], params, semantic, items)
-        yield _check_finite("probabilities", softmax(logits))
+@dataclass(frozen=True, eq=False)
+class Scorer:
+    """A model bound to its item side, built by `scorer`: the fused rows for
+    sem-f, else the normalized trainable rows and their norms before
+    normalization (the training backward reads both). Only sem-f keeps `semantic`."""
+
+    params: ModelParams
+    semantic: SemanticItemTable | None
+    items: np.ndarray
+    norms: np.ndarray | None = None
+
+    def forward(self, prefixes):
+        """Logits (B, n) of a batch of prefixes, plus the cache the training
+        backward reads. The prefixes are packed: only their R real rows are
+        encoded, as one (R,) index vector with `lengths` (B,)."""
+        params = self.params
+        lengths = np.array([len(p) for p in prefixes])
+        if np.any(lengths == 0):
+            raise DataError("prefix must be non-empty")
+        idx = np.concatenate(prefixes, dtype=np.intp)
+        S_m, bb_cache = get_backbone(params.backbone).forward(params.tensors["item_table"][idx], params.scoped("bb."), lengths)
+        _check_finite("session embedding s_m", S_m)
+        cache = {"idx": idx, "bb": bb_cache}
+        if params.variant == "sem-f":
+            S_l, _, cache["attn"] = attention_forward(self.semantic.matrix[idx], params.scoped("attn."), lengths)
+            _check_finite("session embedding s_l", S_l)
+            cache["cat"] = np.concatenate([S_m, S_l], axis=1)  # (B, d1+d2)
+            S = _check_finite("fused session embedding", cache["cat"] @ params.tensors["W4"].T)
+        else:
+            S = params.scale * S_m
+        cache["S"] = S
+        return _check_finite("logits", S @ self.items.T), cache
+
+    def probabilities(self, prefixes):
+        """Yield relevance probabilities (B, n), each row summing to 1, for
+        consecutive chunks of `prefixes`, each chunk one batched forward."""
+        for start in range(0, len(prefixes), SCORE_CHUNK):
+            logits, _ = self.forward(prefixes[start : start + SCORE_CHUNK])
+            yield _check_finite("probabilities", softmax(logits))
+
+    def rank(self, examples, k: int) -> list[RankedList]:
+        """Top-k lists of a batch of examples."""
+        return [top_k(row, k) for block in self.probabilities([ex.prefix for ex in examples]) for row in block]
+
+
+def scorer(params: ModelParams, semantic: SemanticItemTable | None = None) -> Scorer:
+    """Build the item side once. base and sem-i ignore `semantic`; sem-f needs the
+    table it was trained with: same shape and stored fingerprint (never re-hashed)."""
+    if params.variant != "sem-f":
+        return Scorer(params, None, *normalized_item_matrix(params))
+    if semantic is None:
+        raise DataError("sem-f scoring needs the semantic table it was trained with")
+    if (semantic.n, semantic.d2, semantic.fingerprint) != (params.n, params.d2, params.semantic_fingerprint):
+        raise DataError(f"trained with semantic table {params.semantic_fingerprint[:16]} ({params.n}x{params.d2}), "
+                        f"but given {semantic.fingerprint[:16]} ({semantic.n}x{semantic.d2})")
+    return Scorer(params, semantic, fused_item_matrix(params, semantic))
 
 
 def score_all(prefix, params: ModelParams, semantic: SemanticItemTable | None = None) -> np.ndarray:
     """Relevance probabilities over all n items for one prefix (sums to 1)."""
-    return next(score_chunks([prefix], params, semantic))[0]
+    return next(scorer(params, semantic).probabilities([prefix]))[0]
 
 
 def rank_examples(params: ModelParams, semantic: SemanticItemTable | None, examples, k: int) -> list[RankedList]:
-    """Top-k lists of a batch of examples, scored by score_chunks."""
-    prefixes = [ex.prefix for ex in examples]
-    return [top_k(row, k) for block in score_chunks(prefixes, params, semantic) for row in block]
+    """Top-k lists of a batch of examples, from one scorer."""
+    return scorer(params, semantic).rank(examples, k)
 
 
 _MANIFEST = {"variant": str, "backbone": str, "d1": int, "d2": int, "d": int, "scale": float, "seed": int, "step": int}
@@ -238,6 +248,8 @@ def load_checkpoint(directory) -> ModelParams:
             raise DataError(f"{manifest_path}: {key!r} is missing or not a {kind}") from None
     if fields["variant"] not in VARIANTS:
         raise DataError(f"{manifest_path}: unknown variant {fields['variant']!r}; expected one of {VARIANTS}")
+    if fields["backbone"] not in BACKBONES:
+        raise DataError(f"{manifest_path}: unknown backbone {fields['backbone']!r}; registered: {sorted(BACKBONES)}")
     _check_scale(fields["scale"], f"{manifest_path}: ")
     params = ModelParams(**fields)
     # the backbone's bb.* tensors are its own business

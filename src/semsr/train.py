@@ -1,7 +1,7 @@
 """Cross-entropy training with hand-derived reverse-mode gradients.
 
 The loss for one example is -log p_target with p = softmax(logits). One
-batched forward (model.forward) encodes every prefix of the batch at once,
+batched forward (Scorer.forward) encodes every prefix of the batch at once,
 and the backward pass threads d(logits) = p - y back through it:
 
   scoring        for base/sem-i through the scale and the per-row
@@ -30,7 +30,7 @@ from .encoder import attention_backward, get_backbone, normalize_rows_backward, 
 from .encoder import attention_forward  # noqa: F401 -- not called here; bench/tracing.py patches it
 from .errors import DataError, NumericError
 from .metrics import recall_at_k
-from .model import ModelParams, forward, item_matrix, rank_examples
+from .model import ModelParams, rank_examples, scorer
 from .model import normalized_item_matrix  # noqa: F401 -- not called here; bench/tracing.py patches it
 
 
@@ -85,21 +85,21 @@ def loss_and_grad(batch, params: ModelParams, semantic: SemanticItemTable | None
     if bad.size:
         raise DataError(f"target {bad[0]} out of range 0..{n - 1}")
     B = len(batch)
-    logits, cache = forward([ex.prefix for ex in batch], params, semantic, item_matrix(params, semantic))
+    sc = scorer(params, semantic)  # the params change every step, so does the item side
+    logits, cache = sc.forward([ex.prefix for ex in batch])
 
     losses, delta = cross_entropy(logits, targets)
     mean_loss = float(losses.mean())
     if not math.isfinite(mean_loss):
         raise NumericError("non-finite loss")
 
-    M, norms = cache["items"]
-    dS = delta @ M  # (B, d) for sem-f, else (B, d1) before the scale
+    dS = delta @ sc.items  # (B, d) for sem-f, else (B, d1) before the scale
     dM = delta.T @ cache["S"]  # (n, d) or (n, d1)
     grads = {}
     if params.variant == "sem-f":
         table, W4, W5 = params.tensors["item_table"], params.tensors["W4"], params.tensors["W5"]
         d1 = table.shape[1]
-        grads["W5"] = np.concatenate([dM.T @ table, dM.T @ semantic.matrix], axis=1)
+        grads["W5"] = np.concatenate([dM.T @ table, dM.T @ sc.semantic.matrix], axis=1)
         grads["item_table"] = dM @ W5[:, :d1]
         grads["W4"] = dS.T @ cache["cat"]
         dcat_s = dS @ W4  # (B, d1+d2)
@@ -108,7 +108,7 @@ def loss_and_grad(batch, params: ModelParams, semantic: SemanticItemTable | None
         grads.update({f"attn.{k}": g for k, g in attn_grads.items()})
     else:
         dS_m = params.scale * dS
-        grads["item_table"] = normalize_rows_backward(M, norms, dM)
+        grads["item_table"] = normalize_rows_backward(sc.items, sc.norms, dM)
 
     bb_grads, d_raw = get_backbone(params.backbone).backward(cache["bb"], dS_m)
     grads.update({f"bb.{k}": g for k, g in bb_grads.items()})

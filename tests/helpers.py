@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from semsr import model
 from semsr.dataset import Catalog, Example, ItemMeta
 from semsr.embeddings import SemanticItemTable, encode_text, pseudo_semantic_table
 
@@ -38,3 +39,16 @@ def random_examples(rng: np.random.Generator, n_items: int, count: int, max_len:
         prefix = [int(x) for x in rng.integers(0, n_items, size=length)]
         out.append(Example(prefix=prefix, target=int(rng.integers(0, n_items))))
     return out
+
+
+def count_item_side_builds(monkeypatch) -> list[str]:
+    """Wrap model's two item-side builders so each call appends its name to
+    the returned list."""
+    calls = []
+    for name in ("fused_item_matrix", "normalized_item_matrix"):
+        def counted(*args, _name=name, _build=getattr(model, name)):
+            calls.append(_name)
+            return _build(*args)
+
+        monkeypatch.setattr(model, name, counted)
+    return calls

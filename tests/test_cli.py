@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import semsr.dataset as ds
+from helpers import count_item_side_builds
 from semsr import model
 from semsr.cli import main
 from semsr.config import RunConfig, load_config
@@ -338,6 +339,18 @@ class TestTrainEvalCommands:
             err = capsys.readouterr().err
             assert str(ckpt / "manifest.json") in err and "b.tsv" in err
             assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("variant, builder", [("base", "normalized_item_matrix"), ("sem-f", "fused_item_matrix")])
+    def test_eval_and_rerank_build_the_item_side_once(self, workspace, monkeypatch, variant, builder):
+        cfg, ckpt, cands = str(workspace / "run.cfg"), str(workspace / "m" / "checkpoint"), str(workspace / "cands.jsonl")
+        assert main(["train", "--config", cfg, "--variant", variant, "--out", str(workspace / "m")]) == 0
+        monkeypatch.setattr(model, "SCORE_CHUNK", 3)  # several chunks per command
+        builds = count_item_side_builds(monkeypatch)
+        assert main(["eval", "--config", cfg, "--checkpoint", ckpt, "--out", str(workspace / "e"), "--dump-candidates", cands]) == 0
+        assert builds == [builder]
+        builds.clear()
+        assert main(["rerank", "--config", cfg, "--candidates", cands, "--ranker-checkpoint", ckpt, "--out", str(workspace / "r")]) == 0
+        assert builds == [builder]
 
     def test_divergence_is_exit_1_with_checkpoint_retained(self, workspace, capsys):
         cfg = workspace / "diverge.cfg"

@@ -17,7 +17,7 @@ from semsr.encoder import (
     softmax,
 )
 from semsr.errors import DataError
-from semsr.model import forward, init_model, item_matrix, load_checkpoint, rank_examples, save_checkpoint, score_all
+from semsr.model import init_model, load_checkpoint, rank_examples, save_checkpoint, score_all, scorer
 from semsr.retrieval import top_k
 from semsr.train import loss_and_grad
 
@@ -183,7 +183,7 @@ class TestSemanticEncoder:
         semantic = make_semantic(catalog, 4)
         params = init_model("sem-f", 3, 2, 4, 2, seed=0, semantic=semantic)
         with pytest.raises(DataError, match="non-empty"):
-            forward([[1], []], params, semantic, item_matrix(params, semantic))
+            scorer(params, semantic).forward([[1], []])
 
 
 class TestReferenceBackbone:

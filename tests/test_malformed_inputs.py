@@ -174,6 +174,7 @@ CHECKPOINT_FAULTS = {
     "fractional-d1": ("manifest.json", lambda raw: _manifest(raw.decode(), "d1", "8.7").encode()),
     "negative-step": ("manifest.json", lambda raw: _manifest(raw.decode(), "step", "-5").encode()),
     "boolean-seed": ("manifest.json", lambda raw: _manifest(raw.decode(), "seed", "true").encode()),
+    "unknown-backbone": ("manifest.json", lambda raw: _manifest(raw.decode(), "backbone", '"nope"').encode()),
 }
 
 
@@ -200,3 +201,14 @@ def test_bad_semantic_binary_is_exit_2_naming_the_file(workspace, fault):
         code, err = run(["train", "--config", str(workspace / f"{fault}.cfg"), "--variant", variant,
                          "--out", str(workspace / f"{fault}-out")])
         assert_exit_2_naming(code, err, path)
+
+
+@pytest.mark.parametrize(
+    "line", ["lr = inf", "lr = nan", "scale = inf", "timeout = nan", "timeout = -1", "ratios = nan,0.5,0.5"]
+)
+def test_non_finite_or_negative_config_value_is_exit_2_naming_its_line(tmp_path, line):
+    write_fixture_dataset(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG + line + "\n")
+    code, err = run(["ingest", "--config", str(cfg), "--data-dir", str(tmp_path / "data")])
+    assert_exit_2_naming(code, err, f"{cfg}:{BASE_CFG.count(chr(10)) + 1}: ")

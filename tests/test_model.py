@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -6,19 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_catalog, make_semantic, random_examples
+from helpers import count_item_side_builds, make_catalog, make_semantic, random_examples
 from oracles import scalar_score_all
 from semsr import model
+from semsr.embeddings import SemanticItemTable
 from semsr.errors import DataError, NumericError
 from semsr.model import (
+    ModelParams,
     init_model,
     load_checkpoint,
     rank_examples,
     save_checkpoint,
     score_all,
-    score_chunks,
+    scorer,
     top_k,
 )
+from semsr.train import fit
 
 
 def small_model(variant, n=5, d1=2, d2=2, d=2, seed=0):
@@ -180,7 +184,7 @@ class TestRankExamples:
         table = params.tensors["item_table"]
         table[6:] = table[:6]  # items i and i + 6 score exactly alike
         examples = random_examples(np.random.default_rng(3), 12, 5, max_len=4)
-        (probs,) = score_chunks([ex.prefix for ex in examples], params, None)
+        (probs,) = scorer(params).probabilities([ex.prefix for ex in examples])
         for p, rl in zip(probs, rank_examples(params, None, examples, k=7)):
             assert np.unique(p).size == 6
             oracle = sorted(range(12), key=lambda i: (-p[i], i))[:7]
@@ -194,16 +198,66 @@ class TestScoreChunks:
         params, semantic = small_model(variant, n=15, d1=3, d2=5, d=4)
         examples = random_examples(np.random.default_rng(5), 15, 7, max_len=5)
         prefixes = [ex.prefix for ex in examples]
-        whole = list(score_chunks(prefixes, params, semantic))
+        whole = list(scorer(params, semantic).probabilities(prefixes))
         ranked = rank_examples(params, semantic, examples, k=6)
         monkeypatch.setattr(model, "SCORE_CHUNK", 2)
-        small = list(score_chunks(prefixes, params, semantic))
+        small = list(scorer(params, semantic).probabilities(prefixes))
         assert [b.shape for b in whole] == [(7, 15)] and [b.shape for b in small] == [(2, 15)] * 3 + [(1, 15)]
         np.testing.assert_allclose(np.concatenate(small), whole[0], atol=1e-12, rtol=0)
         for ex, row, a, b in zip(examples, whole[0], ranked, rank_examples(params, semantic, examples, k=6)):
             np.testing.assert_allclose(row, score_all(ex.prefix, params, semantic), atol=1e-12, rtol=0)
             assert a.items.tolist() == b.items.tolist() == top_k(row, 6).items.tolist()
             np.testing.assert_allclose(a.scores, b.scores, atol=1e-12, rtol=0)
+
+
+class TestScorer:
+    @pytest.mark.parametrize("table", ["another-fingerprint", "another-n"])
+    def test_semf_rejects_a_table_it_was_not_trained_with(self, table):
+        params, semantic = small_model("sem-f", n=6, d1=3, d2=4, d=3)
+        other = {
+            "another-fingerprint": SemanticItemTable(semantic.matrix[::-1]),  # same n and width
+            "another-n": SemanticItemTable(np.vstack([semantic.matrix, semantic.matrix[:1]])),
+        }[table]
+        assert other.fingerprint != semantic.fingerprint
+        examples = random_examples(np.random.default_rng(0), 6, 4, max_len=3)
+        for call in (
+            lambda: score_all([0, 1], params, other),
+            lambda: rank_examples(params, other, examples, k=3),
+            lambda: fit(examples, examples, params, other, epochs=1, seed=0),
+        ):
+            with pytest.raises(DataError, match="trained with semantic table"):
+                call()
+
+    @pytest.mark.parametrize("variant", ["base", "sem-i"])
+    def test_base_and_semi_ignore_the_semantic_table(self, variant):
+        params, semantic = small_model(variant, n=6, d1=3, d2=4, d=3)
+        sc = scorer(params, SemanticItemTable(semantic.matrix[::-1]))
+        assert sc.semantic is None
+        (with_table,), (without,) = sc.probabilities([[0, 2]]), scorer(params).probabilities([[0, 2]])
+        np.testing.assert_array_equal(with_table, without)
+
+    @pytest.mark.parametrize("variant, builder", [("base", "normalized_item_matrix"), ("sem-f", "fused_item_matrix")])
+    def test_rank_examples_builds_the_item_side_once(self, monkeypatch, variant, builder):
+        params, semantic = small_model(variant, n=9, d1=3, d2=4, d=3)
+        examples = random_examples(np.random.default_rng(1), 9, 7, max_len=4)
+        monkeypatch.setattr(model, "SCORE_CHUNK", 2)
+        builds = count_item_side_builds(monkeypatch)
+        assert len(rank_examples(params, semantic, examples, k=4)) == 7  # four chunks
+        assert builds == [builder]
+
+
+class TestModelParams:
+    def test_copy_keeps_every_field_and_owns_its_tensors(self):
+        params, _ = small_model("sem-f")
+        params.step = 9
+        clone = params.copy()
+        for f in dataclasses.fields(ModelParams):
+            if f.name != "tensors":
+                assert getattr(clone, f.name) == getattr(params, f.name), f.name
+        assert clone.tensors.keys() == params.tensors.keys()
+        for name, tensor in params.tensors.items():
+            np.testing.assert_array_equal(clone.tensors[name], tensor)
+            assert not np.shares_memory(clone.tensors[name], tensor), name
 
 
 class TestCheckpoints:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_catalog, make_semantic
+from helpers import count_item_side_builds, make_catalog, make_semantic
 from oracles import numeric_grad, rel_err, scalar_adam
 from semsr.dataset import Example
 from semsr.errors import DataError
@@ -127,6 +127,13 @@ class TestGradients:
         _, grads = loss_and_grad(batch, params, semantic)
         assert semantic.matrix.tobytes() == before
         assert not any(name.startswith("semantic") for name in grads)
+
+    @pytest.mark.parametrize("variant, builder", [("base", "normalized_item_matrix"), ("sem-f", "fused_item_matrix")])
+    def test_a_step_builds_the_item_side_once(self, monkeypatch, variant, builder):
+        params, semantic = build(variant)
+        builds = count_item_side_builds(monkeypatch)
+        loss_and_grad([Example(prefix=[1, 2], target=3), Example(prefix=[4], target=0)], params, semantic)
+        assert builds == [builder]
 
 
 class TestAdam:
