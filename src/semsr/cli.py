@@ -204,11 +204,8 @@ def cmd_prompt(cfg: RunConfig) -> int:
     def run_one(ex):
         return recommend_via_llm(ex.prefix, catalog, client, strategy, index, k_max, templates=templates)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            ranked = list(pool.map(run_one, examples))
-    else:
-        ranked = [run_one(ex) for ex in examples]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        ranked = list(pool.map(run_one, examples))  # in example order for any thread count
     result = evaluate(ranked, [ex.target for ex in examples], ks)
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)

@@ -6,12 +6,14 @@ Semantic embedding exports come in two formats:
   TSV:     item_id<TAB>f1,f2,...,fd2
   binary:  magic "SEMB1", n (u64 LE), d2 (u64 LE), then n*d2 float32 LE
            row-major, rows in catalog dense-index order
+The binary payload is `f32_bytes` of the matrix, as in every checkpoint blob.
 """
 
 import hashlib
+import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +30,13 @@ class SemanticItemTable:
     mutation during training is detectable."""
 
     matrix: np.ndarray
-    fingerprint: str = ""
+    fingerprint: str = field(init=False)  # always the hash of `matrix`, never taken on trust
 
     def __post_init__(self):
         self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if not np.all(np.isfinite(self.matrix)):
             raise DataError("semantic table contains non-finite values")
-        if not self.fingerprint:
-            self.fingerprint = fingerprint_matrix(self.matrix)
+        self.fingerprint = fingerprint_matrix(self.matrix)
 
     @property
     def n(self) -> int:
@@ -101,29 +102,40 @@ def load_semantic_table(path, catalog: Catalog) -> SemanticItemTable:
     if not path.exists():
         raise DataError(f"semantic embedding file not found: {path}")
     with path.open("rb") as fh:
-        head = fh.read(len(_MAGIC))
-    if head == _MAGIC:
-        return _load_semantic_binary(path, catalog)
-    return _load_semantic_tsv(path, catalog)
-
-
-def _load_semantic_binary(path: Path, catalog: Catalog) -> SemanticItemTable:
-    raw = path.read_bytes()
-    if len(raw) < len(_MAGIC) + 16:
-        raise DataError(f"{path}: truncated semantic binary")
-    n, d2 = struct.unpack_from("<QQ", raw, len(_MAGIC))
-    if n != catalog.n:
-        raise DataError(f"{path}: file has {n} rows, catalog has {catalog.n} items")
-    if d2 == 0:
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            return _load_semantic_tsv(path, catalog)
+    matrix = read_f32(path, path.read_bytes(), len(_MAGIC), 2)  # the bytes are freed on return
+    if matrix.shape[0] != catalog.n:
+        raise DataError(f"{path}: file has {matrix.shape[0]} rows, catalog has {catalog.n} items")
+    if matrix.shape[1] == 0:
         raise DataError(f"{path}: semantic width d2 is 0")
-    expected = len(_MAGIC) + 16 + n * d2 * 4
-    if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    data = np.frombuffer(raw, dtype="<f4", offset=len(_MAGIC) + 16)
+    return SemanticItemTable(matrix=matrix)
+
+
+def f32_bytes(array) -> bytes:
+    """`array`'s dims as u64 LE, then its values as float32 LE, row-major."""
+    values = np.asarray(array, dtype="<f4")  # tobytes is row-major for any layout; a 0-d array stays 0-d
+    return struct.pack(f"<{values.ndim}Q", *values.shape) + values.tobytes()
+
+
+def read_f32(path, raw: bytes, offset: int, rank: int) -> np.ndarray:
+    """The float64 array that `f32_bytes` wrote at raw[offset:] for a rank-`rank`
+    array. Any other length, a non-finite value or dims numpy cannot hold is a
+    DataError naming `path`."""
+    start = offset + 8 * rank
+    if len(raw) < start:
+        raise DataError(f"{path}: {len(raw)} bytes is shorter than its header")
+    dims = struct.unpack_from(f"<{rank}Q", raw, offset)
+    end = start + 4 * math.prod(dims)
+    if len(raw) != end:
+        raise DataError(f"{path}: dims {dims} need {end} bytes, found {len(raw)}")
+    data = np.frombuffer(raw, dtype="<f4", offset=start)
+    if not np.all(np.isfinite(data)):
+        raise DataError(f"{path}: non-finite values")
     try:
-        return SemanticItemTable(matrix=data.astype(np.float64).reshape(n, d2))
-    except DataError as exc:  # non-finite values
-        raise DataError(f"{path}: {exc}") from None
+        return data.astype(np.float64).reshape(dims)
+    except ValueError:  # an empty payload under dims like (2**62, 0)
+        raise DataError(f"{path}: dims {dims} are too large") from None
 
 
 def _load_semantic_tsv(path: Path, catalog: Catalog) -> SemanticItemTable:
@@ -162,11 +174,7 @@ def save_semantic_tsv(path, catalog: Catalog, matrix: np.ndarray) -> None:
 
 
 def save_semantic_binary(path, matrix: np.ndarray) -> None:
-    n, d2 = matrix.shape
-    with Path(path).open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQ", n, d2))
-        fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+    Path(path).write_bytes(_MAGIC + f32_bytes(matrix))
 
 
 def fit_projection(semantic: SemanticItemTable, d1: int) -> Projection:

@@ -15,7 +15,8 @@ is the one place that checks a sem-f model against its semantic table.
 Checkpoints are a directory: manifest.json (variant, widths, backbone key,
 scale, seed, step; for sem-f also the fingerprint of the semantic table it
 was trained with) plus one <tensor>.bin per named tensor. Each blob is
-rank and dims as u64 LE, then float32 LE values row-major.
+its rank as u64 LE, then `embeddings.f32_bytes` of the tensor: dims as
+u64 LE, then float32 LE values row-major.
 """
 
 import json
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import SemanticItemTable, fit_projection
+from .embeddings import SemanticItemTable, f32_bytes, fit_projection, read_f32
 from .encoder import BACKBONES, attention_forward, attention_shapes, get_backbone, init_attention_tensors, normalize_rows, softmax
 from .errors import DataError, NumericError
 from .retrieval import RankedList, top_k
@@ -220,7 +221,7 @@ def save_checkpoint(directory, params: ModelParams) -> None:
         manifest["semantic_fingerprint"] = params.semantic_fingerprint
     (staging / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     for name, tensor in params.tensors.items():
-        _write_tensor(staging / f"{name}.bin", tensor)
+        (staging / f"{name}.bin").write_bytes(struct.pack("<Q", np.ndim(tensor)) + f32_bytes(tensor))
     if directory.exists():
         directory.rename(retired)
     staging.rename(directory)
@@ -236,14 +237,17 @@ def load_checkpoint(directory) -> ModelParams:
         m = json.loads(manifest_path.read_text())
     except ValueError as exc:
         raise DataError(f"{manifest_path}: not valid JSON ({exc})") from None
+    if not isinstance(m, dict):
+        raise DataError(f"{manifest_path}: not a JSON object")
     fields = {}
-    own = {"semantic_fingerprint": str} if isinstance(m, dict) and m.get("variant") == "sem-f" else {}
+    own = {"semantic_fingerprint": str} if m.get("variant") == "sem-f" else {}
     for key, typ in {**_MANIFEST, **own}.items():
-        try:
-            fields[key] = typ(m[key])
-            if typ is int and (isinstance(m[key], bool) or fields[key] != m[key] or fields[key] < 0):
-                raise ValueError  # 8.7 or -5 is an error, not a truncation
-        except (KeyError, TypeError, ValueError, OverflowError):
+        value, json_type = m.get(key), (int, float) if typ is float else typ
+        try:  # values keep their JSON type: true is no number, "16" no scale, 8.7 or -5 no count
+            if isinstance(value, bool) or not isinstance(value, json_type) or (typ is int and value < 0):
+                raise TypeError
+            fields[key] = typ(value)
+        except (TypeError, OverflowError):
             kind = "non-negative integer" if typ is int else typ.__name__
             raise DataError(f"{manifest_path}: {key!r} is missing or not a {kind}") from None
     if fields["variant"] not in VARIANTS:
@@ -251,20 +255,26 @@ def load_checkpoint(directory) -> ModelParams:
     if fields["backbone"] not in BACKBONES:
         raise DataError(f"{manifest_path}: unknown backbone {fields['backbone']!r}; registered: {sorted(BACKBONES)}")
     _check_scale(fields["scale"], f"{manifest_path}: ")
+    if min(fields["d1"], fields["d2"], fields["d"]) < 1:
+        raise DataError(f"{manifest_path}: widths d1, d2 and d must be >= 1")
     params = ModelParams(**fields)
-    # the backbone's bb.* tensors are its own business
-    shapes = {}
+    table_path = directory / "item_table.bin"  # read first: its width confirms d1 before the backbone builds d1-wide tensors
+    if not table_path.exists():
+        raise DataError(f"checkpoint at {directory} has no item_table tensor")
+    table = params.tensors["item_table"] = _read_tensor(table_path)
+    if table.shape[1:] != (params.d1,):
+        raise DataError(f"{table_path}: the manifest needs shape (n, {params.d1}), found {table.shape}")
+    bb_init = get_backbone(params.backbone).init_params(params.d1, np.random.default_rng(0))
+    shapes = {"item_table": table.shape, **{f"bb.{k}": v.shape for k, v in bb_init.items()}}
     if params.variant == "sem-f":
         shapes.update({f"attn.{k}": shape for k, shape in attention_shapes(params.d2).items()})
         shapes["W4"] = shapes["W5"] = (params.d, params.d1 + params.d2)
     for blob in sorted(directory.glob("*.bin")):
         name = blob.name[: -len(".bin")]
-        if name != "item_table" and name not in shapes and not name.startswith("bb."):
+        if name not in shapes:
             raise DataError(f"{blob}: a {params.variant} checkpoint has no tensor {name!r}")
-        params.tensors[name] = _read_tensor(blob)
-    if "item_table" not in params.tensors:
-        raise DataError(f"checkpoint at {directory} has no item_table tensor")
-    shapes["item_table"] = params.tensors["item_table"].shape[:1] + (params.d1,)
+        if name not in params.tensors:
+            params.tensors[name] = _read_tensor(blob)
     for name, shape in shapes.items():
         got = params.tensors[name].shape if name in params.tensors else "no tensor"
         if got != shape:
@@ -272,22 +282,6 @@ def load_checkpoint(directory) -> ModelParams:
     return params
 
 
-def _write_tensor(path: Path, tensor: np.ndarray) -> None:
-    header = struct.pack("<Q", tensor.ndim)
-    header += b"".join(struct.pack("<Q", dim) for dim in tensor.shape)
-    path.write_bytes(header + np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-
-
 def _read_tensor(path: Path) -> np.ndarray:
     raw = path.read_bytes()
-    rank = int.from_bytes(raw[:8], "little")
-    if len(raw) < 8 + 8 * rank:
-        raise DataError(f"{path}: blob of {len(raw)} bytes is shorter than its header")
-    dims = struct.unpack_from(f"<{rank}Q", raw, 8)
-    data = np.frombuffer(raw, dtype="<f4", offset=8 + 8 * rank)
-    expected = math.prod(dims) if dims else 0
-    if data.size != expected:
-        raise DataError(f"{path}: expected {expected} values, found {data.size}")
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"{path}: non-finite values")
-    return data.astype(np.float64).reshape(dims)
+    return read_f32(path, raw, 8, int.from_bytes(raw[:8], "little"))

@@ -279,8 +279,9 @@ class TestTrainEvalCommands:
             ("semantic-16-wide", "sem-f", "sem16.tsv"),
             ("w4-column-short", "sem-f", "W4.bin"),
             ("w4-in-base", "base", "m/checkpoint/W4.bin"),
+            ("manifest-d1-huge", "base", "m/checkpoint/item_table.bin"),
         ],
-        ids=["item-table-long", "item-table-short", "semantic-too-wide", "w4-column-short", "w4-in-base"],
+        ids=["item-table-long", "item-table-short", "semantic-too-wide", "w4-column-short", "w4-in-base", "d1-huge"],
     )
     def test_checkpoint_that_does_not_fit_is_exit_2(self, workspace, capsys, fault, variant, named):
         cfg = workspace / "run.cfg"
@@ -296,6 +297,8 @@ class TestTrainEvalCommands:
             params.tensors["W4"] = params.tensors["W4"][:, :-1]
         elif fault == "w4-in-base":
             params.tensors["W4"] = np.zeros((8, 20))
+        elif fault == "manifest-d1-huge":  # refused by the table's width before the backbone draws 10^12 values
+            params.d1 = 10**6
         else:
             catalog = ds.load_catalog(workspace / "data" / "catalog.json")
             semantic = pseudo_semantic_table(catalog, 16)
@@ -478,8 +481,13 @@ class TestPromptCommand:
         (workspace / "mock.json").write_text(json.dumps(mapping))
         cfg = workspace / "run.cfg"
         cfg.write_text(BASE_CFG + "mock_responses = mock.json\nstrategy = fs\n")
-        assert main(["prompt", "--config", str(cfg), "--out", str(workspace / "prompt")]) == 0
-        report = json.loads((workspace / "prompt" / "prompt_report_fs.json").read_text())
+        reports = []
+        for threads in ("1", "4"):  # the pool keeps example order, so the report is the same bytes
+            out = workspace / f"prompt-{threads}"
+            assert main(["prompt", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+            reports.append((out / "prompt_report_fs.json").read_bytes())
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
         assert report["strategy"] == "fs"
         assert report["K"]["5"]["recall"] == 1.0
         assert report["K"]["5"]["mrr"] == 1.0

@@ -1,7 +1,11 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import clustered_semantic, make_catalog, make_semantic
 from oracles import svd_projection
@@ -9,15 +13,18 @@ from semsr.dataset import ItemMeta
 from semsr.embeddings import (
     SemanticItemTable,
     encode_text,
+    f32_bytes,
     fingerprint_matrix,
     fit_projection,
     load_semantic_table,
     pseudo_encode,
+    pseudo_semantic_table,
+    read_f32,
     save_semantic_binary,
     save_semantic_tsv,
 )
 from semsr.errors import DataError
-from semsr.model import init_model
+from semsr.model import _read_tensor, init_model
 
 
 class TestLoadSemantic:
@@ -78,6 +85,41 @@ class TestLoadSemantic:
         matrix = np.arange(60, dtype=float).reshape(6, 10) / 7.0
         for view in (matrix, matrix[:, ::3], matrix.T, matrix[1:4]):
             assert fingerprint_matrix(view) == hashlib.sha256(np.ascontiguousarray(view).tobytes()).hexdigest()
+
+    def test_fingerprint_is_computed_not_passed(self, tmp_path):
+        with pytest.raises(TypeError):
+            SemanticItemTable(np.ones((2, 3)), fingerprint="0" * 64)
+        catalog = make_catalog(4)
+        matrix = np.random.default_rng(0).standard_normal((4, 6))
+        save_semantic_tsv(tmp_path / "emb.tsv", catalog, matrix)
+        save_semantic_binary(tmp_path / "emb.bin", matrix)
+        tables = [
+            SemanticItemTable(matrix),
+            pseudo_semantic_table(catalog, 6),
+            load_semantic_table(tmp_path / "emb.tsv", catalog),
+            load_semantic_table(tmp_path / "emb.bin", catalog),
+        ]
+        for table in tables:
+            assert table.fingerprint == fingerprint_matrix(table.matrix)
+
+
+class TestFloat32Codec:
+    """`f32_bytes` then `read_f32` returns the float32-rounded array, framed as
+    a checkpoint blob (rank first) and as a SEMB1 export (magic first)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(array=arrays(np.float64, st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple),
+                        elements=st.floats(-1e30, 1e30)))
+    def test_roundtrip_both_formats(self, tmp_path_factory, array):
+        path = tmp_path_factory.mktemp("codec") / "tensor.bin"
+        expected = array.astype(np.float32).astype(np.float64)
+        path.write_bytes(struct.pack("<Q", array.ndim) + f32_bytes(array))
+        blob = _read_tensor(path)
+        save_semantic_binary(path, array)
+        semb1 = read_f32(path, path.read_bytes(), len(b"SEMB1"), array.ndim)
+        for got in (blob, semb1):
+            assert got.dtype == np.float64 and got.shape == array.shape
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestPseudoEncode:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from semsr import dataset as ds
 from semsr.cli import main
-from semsr.embeddings import pseudo_semantic_table, save_semantic_binary, save_semantic_tsv
+from semsr.embeddings import f32_bytes, pseudo_semantic_table, save_semantic_binary, save_semantic_tsv
 from test_cli import BASE_CFG, write_fixture_dataset
 
 
@@ -175,20 +175,34 @@ CHECKPOINT_FAULTS = {
     "negative-step": ("manifest.json", lambda raw: _manifest(raw.decode(), "step", "-5").encode()),
     "boolean-seed": ("manifest.json", lambda raw: _manifest(raw.decode(), "seed", "true").encode()),
     "unknown-backbone": ("manifest.json", lambda raw: _manifest(raw.decode(), "backbone", '"nope"').encode()),
+    "boolean-scale": ("manifest.json", lambda raw: _manifest(raw.decode(), "scale", "true").encode()),
+    "string-scale": ("manifest.json", lambda raw: _manifest(raw.decode(), "scale", '"16"').encode()),
+    "ragged-payload": ("bb.q.bin", lambda raw: raw + b"\0\0"),
+    "rank-0-no-payload": ("bb.q.bin", lambda raw: struct.pack("<Q", 0)),
+    "empty-payload-huge-dims": ("item_table.bin", lambda raw: struct.pack("<3Q", 2, 2**62, 0)),
+    "misshapen-backbone-tensor": ("bb.W2.bin", lambda raw: struct.pack("<Q", 2) + f32_bytes(np.ones((3, 3)))),
+    "missing-backbone-tensor": ("bb.W2.bin", lambda raw: None),
+    "unknown-backbone-tensor": ("bb.extra.bin", lambda raw: struct.pack("<Q", 1) + f32_bytes(np.ones(3))),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
 def test_bad_checkpoint_is_exit_2_naming_the_file(workspace, tmp_path, fault):
+    """Each edit maps the file's bytes (None if there is none) to new bytes, or to None to delete it."""
     name, edit = CHECKPOINT_FAULTS[fault]
     ckpt = tmp_path / "checkpoint"
     shutil.copytree(workspace / "base" / "checkpoint", ckpt)
-    (ckpt / name).write_bytes(edit((ckpt / name).read_bytes()))
+    path = ckpt / name
+    content = edit(path.read_bytes() if path.exists() else None)
+    if content is None:
+        path.unlink()
+    else:
+        path.write_bytes(content)
     code, err = run(["eval", "--config", str(workspace / "run.cfg"), "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
     assert_exit_2_naming(code, err, ckpt / name)
 
 
-@pytest.mark.parametrize("fault", ["zero-width", "nan-value"])
+@pytest.mark.parametrize("fault", ["zero-width", "nan-value", "one-byte-short", "one-byte-long"])
 def test_bad_semantic_binary_is_exit_2_naming_the_file(workspace, fault):
     catalog = ds.load_catalog(workspace / "data" / "catalog.json")
     matrix = np.zeros((catalog.n, 0)) if fault == "zero-width" else pseudo_semantic_table(catalog, 12).matrix
@@ -196,6 +210,9 @@ def test_bad_semantic_binary_is_exit_2_naming_the_file(workspace, fault):
         matrix[catalog.n // 2, 3] = np.nan
     path = workspace / f"{fault}.bin"
     save_semantic_binary(path, matrix)
+    if fault.startswith("one-byte"):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-1] if fault == "one-byte-short" else raw + b"\0")
     (workspace / f"{fault}.cfg").write_text(BASE_CFG + f"semantic_path = {path.name}\n")
     for variant in ("sem-i", "sem-f"):
         code, err = run(["train", "--config", str(workspace / f"{fault}.cfg"), "--variant", variant,

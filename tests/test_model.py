@@ -310,9 +310,20 @@ class TestCheckpoints:
         assert load_checkpoint(tmp_path / "ckpt").semantic_fingerprint == semantic.fingerprint
         path = tmp_path / "ckpt" / "manifest.json"
         fields = json.loads(path.read_text())
+        for value in (None, 7, [semantic.fingerprint]):  # a JSON null is no fingerprint "None"
+            path.write_text(json.dumps({**fields, "semantic_fingerprint": value}))
+            with pytest.raises(DataError, match="manifest.json: 'semantic_fingerprint' is missing or not a str"):
+                load_checkpoint(tmp_path / "ckpt")
         del fields["semantic_fingerprint"]
         path.write_text(json.dumps(fields))
         with pytest.raises(DataError, match="manifest.json: 'semantic_fingerprint' is missing"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    def test_zero_width_is_rejected_before_the_backbone_draws_its_tensors(self, tmp_path):
+        params, _ = small_model("base")
+        params.d1, params.tensors = 0, {"item_table": np.zeros((params.n, 0))}
+        save_checkpoint(tmp_path / "ckpt", params)
+        with pytest.raises(DataError, match="manifest.json: widths d1, d2 and d must be >= 1"):
             load_checkpoint(tmp_path / "ckpt")
 
     def test_missing_manifest_rejected(self, tmp_path):
