@@ -49,6 +49,10 @@ def _semantic_table(cfg: RunConfig, catalog, d2: int) -> SemanticItemTable:
     return pseudo_semantic_table(catalog, d2)
 
 
+def _semantic_source(cfg: RunConfig) -> str:
+    return cfg.semantic_path or "the pseudo-encoded semantic table"
+
+
 def _checkpoint_scorer(cfg: RunConfig, path: Path, params, catalog) -> Scorer:
     """The scorer of the checkpoint at `path`, which must fit the catalog; for
     sem-f, `scorer` checks the configured semantic table against it."""
@@ -58,8 +62,7 @@ def _checkpoint_scorer(cfg: RunConfig, path: Path, params, catalog) -> Scorer:
     try:
         return scorer(params, semantic)
     except DataError as exc:  # only sem-f's pairing with its semantic table raises it
-        source = cfg.semantic_path or "the pseudo-encoded semantic table"
-        raise DataError(f"{path / 'manifest.json'}: {exc}, from {source}") from None
+        raise DataError(f"{path / 'manifest.json'}: {exc}, from {_semantic_source(cfg)}") from None
 
 
 def _clamped_ks(cfg: RunConfig, n: int):
@@ -99,9 +102,13 @@ def cmd_train(cfg: RunConfig) -> int:
 
     semantic = _semantic_table(cfg, catalog, cfg.d2) if cfg.variant != "base" else None
     d2 = semantic.d2 if semantic is not None else cfg.d2
-    params = init_model(cfg.variant, catalog.n, cfg.d1, d2, cfg.d, cfg.seed, scale=cfg.scale, semantic=semantic)
+    try:
+        params = init_model(cfg.variant, catalog.n, cfg.d1, d2, cfg.d, cfg.seed, scale=cfg.scale, semantic=semantic)
+    except DataError as exc:  # only the sem-i start from the semantic table raises it
+        raise DataError(f"{exc}, from {_semantic_source(cfg)}") from None
     out = Path(cfg.out_dir or "run")
     out.mkdir(parents=True, exist_ok=True)
+    diverged = None
     try:
         best, history = fit(
             train_examples, val_examples, params, semantic,
@@ -109,12 +116,12 @@ def cmd_train(cfg: RunConfig) -> int:
             patience=cfg.patience, seed=cfg.seed, val_k=cfg.val_k,
         )
     except TrainingDiverged as exc:
-        save_checkpoint(out / "checkpoint", exc.params)
-        (out / "history.json").write_text(json.dumps(exc.history, sort_keys=True, indent=2) + "\n")
-        print(f"error: training diverged ({exc}); last good checkpoint retained", file=sys.stderr)
-        return 1
+        diverged, best, history = exc, exc.params, exc.history
     save_checkpoint(out / "checkpoint", best)
     (out / "history.json").write_text(json.dumps(history, sort_keys=True, indent=2) + "\n")
+    if diverged is not None:
+        print(f"error: training diverged ({diverged}); last good checkpoint retained", file=sys.stderr)
+        return 1
     last = history[-1] if history else {}
     print(f"trained {cfg.variant} for {len(history)} epochs; final train loss {last.get('train_loss', float('nan')):.4f}")
     if "val_recall" in last:
@@ -245,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--candidates")
             p.add_argument("--ranker-checkpoint", dest="ranker_checkpoint")
         if name == "prompt":
-            p.add_argument("--strategy", choices=["fs", "zcot", "fscot"])
+            p.add_argument("--strategy")
             p.add_argument("--threads", type=int)
     return parser
 

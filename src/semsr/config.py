@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .dataset import check_ratios, read_records
 from .errors import DataError
+from .llm import STRATEGY_KINDS
 from .model import VARIANTS
 
 _PATH_FIELDS = (
@@ -75,21 +76,20 @@ class RunConfig:
     max_retries: int = 3
     templates_dir: str | None = None
 
-    def validate(self) -> "RunConfig":
-        for name in _FIELDS:
-            _check_range(name, getattr(self, name))
-        return self
 
-
-_AT_LEAST_ONE = ("d1", "d2", "d", "batch_size", "epochs", "threads", "val_k", "max_retries", "min_item_freq")
+_AT_LEAST_ONE = ("d1", "d2", "d", "batch_size", "epochs", "patience", "threads", "val_k", "max_retries", "min_item_freq", "shots")
 
 
 def _check_range(name: str, value) -> None:
     """The value rule of field `name`; a value outside it is a DataError."""
     if name == "variant" and value not in VARIANTS:
         raise DataError(f"unknown variant {value!r}")
+    if name == "strategy" and value not in STRATEGY_KINDS:
+        raise DataError(f"unknown strategy {value!r}; expected one of {STRATEGY_KINDS}")
     if name in _AT_LEAST_ONE and value < 1:
         raise DataError(f"{name} must be >= 1")
+    if name == "seed" and value < 0:
+        raise DataError("seed must be >= 0")
     if name in ("scale", "lr", "timeout") and not 0 < value < math.inf:
         raise DataError(f"{name} must be {'positive' if value <= 0 else 'finite'}")
     if name == "ks" and any(k < 1 for k in value):
@@ -162,4 +162,4 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         value = getattr(cfg, name)
         if value is not None and not Path(value).is_absolute():
             setattr(cfg, name, str(base / value))
-    return cfg.validate()
+    return cfg

@@ -75,8 +75,9 @@ def init_model(
     """Create and initialize all trainable tensors for a variant.
 
     The variant fixes the item table's start: for sem-i each row is the PCA
-    projection of its semantic row, L2-normalized (a zero row stays zero);
-    base and sem-f draw it uniform in [-0.1, 0.1]. All draws come from one
+    projection of its semantic row, L2-normalized by encoder.normalize_rows
+    (a row that projects to zero is a DataError naming its item); base and
+    sem-f draw it uniform in [-0.1, 0.1]. All draws come from one
     generator seeded with `seed`, in a fixed tensor order, so runs are
     reproducible. sem-f keeps the semantic table's fingerprint, which its
     checkpoint manifest records.
@@ -96,8 +97,11 @@ def init_model(
 
     if variant == "sem-i":
         rows = fit_projection(semantic, d1).apply(semantic.matrix)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        params.tensors["item_table"] = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
+        try:
+            params.tensors["item_table"] = normalize_rows(rows, "sem-i start")[0]
+        except NumericError:
+            item = int(np.flatnonzero(~np.any(rows * rows, axis=1))[0])
+            raise DataError(f"sem-i start: the semantic row of item {item} projects to zero") from None
     else:
         params.tensors["item_table"] = rng.uniform(-0.1, 0.1, size=(n, d1))
     params.tensors.update({f"bb.{k}": v for k, v in get_backbone(backbone).init_params(d1, rng).items()})

@@ -18,10 +18,14 @@ session-side contribution, scattered with one np.add.at over the packed
 prefix rows (real rows only). Gradients are batch means. The semantic
 table is frozen and never receives a gradient. The cross-entropy and Adam
 run over encoder.row_blocks, bitwise equal to their one-pass forms.
+
+fit scores each epoch's model on validation with metrics.evaluate and keeps
+the best one as a single ModelParams snapshot, which it returns, or which
+TrainingDiverged carries when the loss goes non-finite.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from .embeddings import SemanticItemTable
 from .encoder import attention_backward, get_backbone, normalize_rows_backward, row_blocks
 from .encoder import attention_forward  # noqa: F401 -- not called here; bench/tracing.py patches it
 from .errors import DataError, NumericError
-from .metrics import recall_at_k
+from .metrics import evaluate
 from .model import ModelParams, rank_examples, scorer
 from .model import normalized_item_matrix  # noqa: F401 -- not called here; bench/tracing.py patches it
 
@@ -160,57 +164,45 @@ def fit(
     seed: int = 0,
     val_k: int = 100,
 ):
-    """Epoch loop with seeded shuffling, keeping the checkpoint that is
-    best on validation recall. Returns (best_params, history).
+    """Epoch loop with seeded shuffling. Returns (best, history), where best
+    is one ModelParams snapshot, taken (ModelParams.copy) after the epoch with
+    the highest validation Recall@val_k, or after every epoch when there is
+    no validation set; `params` keeps training in place.
 
-    Early-stops after `patience` epochs without improvement. A non-finite
-    loss aborts with TrainingDiverged carrying the last good checkpoint.
+    Early-stops after `patience` (>= 1) epochs without improvement. A
+    non-finite loss aborts with TrainingDiverged carrying the snapshot and
+    the history so far.
     """
     if not train_examples:
         raise DataError("empty training set")
     state = init_adam(params, lr=lr)
     rng = np.random.default_rng(seed)
     k_eval = min(val_k, params.n)
+    targets = [ex.target for ex in val_examples]
     history: list[dict] = []
-    best_tensors = {k: v.copy() for k, v in params.tensors.items()}
-    best_metric = -math.inf
-    best_step = params.step
-    since_best = 0
-
-    def best_params() -> ModelParams:
-        return replace(params, step=best_step, tensors={k: v.copy() for k, v in best_tensors.items()})
-
+    best, best_recall, since_best = params.copy(), -math.inf, 0
     for epoch in range(1, epochs + 1):
         perm = rng.permutation(len(train_examples))
         loss_sum = 0.0
-        seen = 0
         for start in range(0, len(train_examples), batch_size):
             chunk = [train_examples[i] for i in perm[start : start + batch_size]]
             try:
                 report, grads = loss_and_grad(chunk, params, semantic)
             except NumericError as exc:
-                raise TrainingDiverged(str(exc), best_params(), history) from exc
+                raise TrainingDiverged(str(exc), best, history) from exc
             adam_step(params, grads, state)
             params.step += 1
             loss_sum += report.mean_loss * report.batch_size
-            seen += report.batch_size
-        entry = {"epoch": epoch, "train_loss": loss_sum / seen, "step": params.step}
+        entry = {"epoch": epoch, "train_loss": loss_sum / len(train_examples), "step": params.step}
         if val_examples:
             ranked = rank_examples(params, semantic, val_examples, k_eval)
-            hits = [recall_at_k(rl, ex.target, k_eval) for rl, ex in zip(ranked, val_examples)]
-            entry["val_recall"] = math.fsum(hits) / len(hits)
+            entry["val_recall"] = evaluate(ranked, targets, (k_eval,)).per_k[k_eval]["recall"]
             entry["val_k"] = k_eval
-            if entry["val_recall"] > best_metric:
-                best_metric = entry["val_recall"]
-                best_tensors = {k: v.copy() for k, v in params.tensors.items()}
-                best_step = params.step
-                since_best = 0
-            else:
-                since_best += 1
-        else:
-            best_tensors = {k: v.copy() for k, v in params.tensors.items()}
-            best_step = params.step
         history.append(entry)
-        if val_examples and since_best >= patience:
+        if not val_examples or entry["val_recall"] > best_recall:
+            best, best_recall, since_best = params.copy(), entry.get("val_recall", -math.inf), 0
+        else:
+            since_best += 1
+        if since_best >= patience:
             break
-    return best_params(), history
+    return best, history

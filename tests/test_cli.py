@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,7 +9,7 @@ import pytest
 
 import semsr.dataset as ds
 from helpers import count_item_side_builds
-from semsr import model
+from semsr import config, model
 from semsr.cli import main
 from semsr.config import RunConfig, load_config
 from semsr.embeddings import pseudo_semantic_table, save_semantic_tsv
@@ -96,6 +97,10 @@ class TestConfig:
             ("min_session_len", "1", "min_session_len must be >= 2"),
             ("ratios", "0.9,0.1", "ratios must be three values >= 0 that sum to 1"),
             ("ratios", "1.2,-0.1,-0.1", "ratios must be three values >= 0 that sum to 1"),
+            ("seed", "-1", "seed must be >= 0"),
+            ("shots", "0", "shots must be >= 1"),
+            ("patience", "0", "patience must be >= 1"),
+            ("strategy", "foo", re.escape("unknown strategy 'foo'; expected one of ('fs', 'zcot', 'fscot')")),
         ],
     )
     def test_out_of_range_value_names_its_source(self, tmp_path, key, value, message):
@@ -106,6 +111,12 @@ class TestConfig:
         f.write_text("seed = 3\n")
         with pytest.raises(DataError, match=f"^command line: {message}$"):
             load_config(f, overrides={key: value})
+
+
+    def test_every_default_passes_its_rule(self):
+        defaults = RunConfig()
+        for field in dataclasses.fields(RunConfig):
+            config._check_range(field.name, getattr(defaults, field.name))
 
 
 def write_fixture_dataset(root: Path, n_items=25, n_users=40, seed=0):
@@ -513,6 +524,12 @@ class TestExitCodes:
         cfg.write_text("variant = base\n")
         assert main(["train", "--config", str(cfg), "--k", "20,lots"]) == 2
         assert "command line: bad value for ks" in capsys.readouterr().err
+
+    def test_unknown_strategy_flag_is_exit_2_naming_the_command_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = base\n")
+        assert main(["prompt", "--config", str(cfg), "--strategy", "foo"]) == 2
+        assert capsys.readouterr().err.startswith("error: command line: unknown strategy 'foo'")
 
     def test_threads_is_a_prompt_flag_only(self):
         with pytest.raises(SystemExit) as info:

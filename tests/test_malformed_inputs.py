@@ -78,6 +78,10 @@ CONFIG_EDITS = [
     lambda line: "ks = 0,5",
     lambda line: "ratios = 0.9,0.1",
     lambda line: "min_session_len = 1",
+    lambda line: "seed = -1",
+    lambda line: "shots = 0",
+    lambda line: "patience = 0",
+    lambda line: "strategy = foo",
 ]
 
 # input -> (command that reads it, edits of one decoded record or of one raw line)
@@ -221,11 +225,33 @@ def test_bad_semantic_binary_is_exit_2_naming_the_file(workspace, fault):
 
 
 @pytest.mark.parametrize(
-    "line", ["lr = inf", "lr = nan", "scale = inf", "timeout = nan", "timeout = -1", "ratios = nan,0.5,0.5"]
+    "line",
+    [
+        "lr = inf", "lr = nan", "scale = inf", "timeout = nan", "timeout = -1", "ratios = nan,0.5,0.5",
+        "seed = -1", "shots = -1", "shots = 0", "patience = 0", "patience = -1", "strategy = foo", "--seed -1",
+    ],
 )
 def test_non_finite_or_negative_config_value_is_exit_2_naming_its_line(tmp_path, line):
+    """A config line, or a flag (named `command line:`) when `line` starts with --."""
     write_fixture_dataset(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(BASE_CFG + line + "\n")
-    code, err = run(["ingest", "--config", str(cfg), "--data-dir", str(tmp_path / "data")])
-    assert_exit_2_naming(code, err, f"{cfg}:{BASE_CFG.count(chr(10)) + 1}: ")
+    flag = line.startswith("--")
+    cfg.write_text(BASE_CFG + ("" if flag else line + "\n"))
+    code, err = run(["ingest", "--config", str(cfg), "--data-dir", str(tmp_path / "data")] + (line.split() if flag else []))
+    assert_exit_2_naming(code, err, "command line: " if flag else f"{cfg}:{BASE_CFG.count(chr(10)) + 1}: ")
+    assert not (tmp_path / "data").exists()
+
+
+def test_sem_i_start_row_of_zero_is_exit_2_naming_the_semantic_source(workspace):
+    """Item 3's semantic row is the column mean (every column of the integer
+    table sums to 0 exactly), so its centered PCA projection is zero."""
+    catalog = ds.load_catalog(workspace / "data" / "catalog.json")
+    matrix = np.random.default_rng(0).integers(-5, 6, size=(catalog.n, 12)).astype(float)
+    matrix[3] = 0.0
+    matrix[-1] -= matrix.sum(axis=0)
+    path, out = workspace / "mean-row.tsv", workspace / "mean-row-out"
+    save_semantic_tsv(path, catalog, matrix)
+    (workspace / "mean-row.cfg").write_text(BASE_CFG + f"semantic_path = {path.name}\n")
+    code, err = run(["train", "--config", str(workspace / "mean-row.cfg"), "--variant", "sem-i", "--out", str(out)])
+    assert_exit_2_naming(code, err, path)
+    assert "item 3 " in err and not out.exists()

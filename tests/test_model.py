@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import count_item_side_builds, make_catalog, make_semantic, random_examples
 from oracles import scalar_score_all
 from semsr import model
-from semsr.embeddings import SemanticItemTable
+from semsr.embeddings import SemanticItemTable, fit_projection
 from semsr.errors import DataError, NumericError
 from semsr.model import (
     ModelParams,
@@ -151,6 +151,21 @@ class TestVariantEquivalence:
         semi = init_model("sem-i", n, d1, d2, 3, seed=7, semantic=semantic)
         norms = np.linalg.norm(semi.tensors["item_table"], axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("n, d1, d2", [(9, 3, 3), (200, 100, 120)])
+    def test_semi_start_is_the_one_pass_normalization(self, n, d1, d2):
+        semantic = make_semantic(make_catalog(n), d2)
+        rows = fit_projection(semantic, d1).apply(semantic.matrix)
+        expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        semi = init_model("sem-i", n, d1, d2, 3, seed=7, semantic=semantic)
+        assert semi.tensors["item_table"].tobytes() == expected.tobytes()
+
+    def test_semi_start_row_of_zero_names_its_item(self):
+        matrix = np.random.default_rng(0).integers(-5, 6, size=(8, 4)).astype(float)
+        matrix[5] = 0.0
+        matrix[-1] -= matrix.sum(axis=0)  # every column sums to 0, so row 5 is the column mean
+        with pytest.raises(DataError, match="^sem-i start: the semantic row of item 5 projects to zero$"):
+            init_model("sem-i", 8, 3, 4, 3, seed=0, semantic=SemanticItemTable(matrix=matrix))
 
 
 class TestRankInvariance:

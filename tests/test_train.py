@@ -6,7 +6,8 @@ import pytest
 from helpers import count_item_side_builds, make_catalog, make_semantic
 from oracles import numeric_grad, rel_err, scalar_adam
 from semsr.dataset import Example
-from semsr.errors import DataError
+from semsr import train
+from semsr.errors import DataError, NumericError
 from semsr.model import init_model, score_all
 from semsr.train import TrainingDiverged, adam_step, fit, init_adam, loss_and_grad
 
@@ -252,6 +253,33 @@ class TestFit:
         retained = info.value.params
         assert set(retained.tensors) == set(snapshot)
         assert all(np.all(np.isfinite(v)) for v in retained.tensors.values())
+
+    @pytest.mark.parametrize("with_val", [False, True])
+    def test_divergence_carries_the_snapshot_of_the_last_finished_epoch(self, monkeypatch, with_val):
+        examples, val = tiny_dataset(8, 12, seed=10), tiny_dataset(8, 6, seed=12) if with_val else []
+        settings = dict(batch_size=4, lr=0.003, seed=0, val_k=3)  # 3 batches per epoch
+        params, semantic = build("sem-f", n=8, d1=3, d2=4, d=3, generic_point=False)
+        finished, _ = fit(examples, val, params, semantic, epochs=2, **settings)
+        assert not any(np.shares_memory(finished.tensors[k], params.tensors[k]) for k in params.tensors)
+
+        calls, real = [], train.loss_and_grad
+
+        def diverge_on_the_eighth_batch(*args):  # the second batch of epoch 3
+            calls.append(1)
+            if len(calls) == 8:
+                raise NumericError("non-finite loss")
+            return real(*args)
+
+        monkeypatch.setattr(train, "loss_and_grad", diverge_on_the_eighth_batch)
+        params, semantic = build("sem-f", n=8, d1=3, d2=4, d=3, generic_point=False)
+        with pytest.raises(TrainingDiverged) as info:
+            fit(examples, val, params, semantic, epochs=5, **settings)
+        retained = info.value.params
+        assert [h["epoch"] for h in info.value.history] == [1, 2]
+        assert retained.step == finished.step and set(retained.tensors) == set(finished.tensors)
+        for name, tensor in finished.tensors.items():
+            assert retained.tensors[name].tobytes() == tensor.tobytes()
+        assert not any(np.shares_memory(retained.tensors[k], params.tensors[k]) for k in params.tensors)
 
     def test_empty_train_set_rejected(self):
         params, _ = build("base")
