@@ -66,7 +66,7 @@ def _checkpoint_scorer(cfg: RunConfig, path: Path, params, catalog) -> Scorer:
 
 
 def _clamped_ks(cfg: RunConfig, n: int):
-    return tuple(min(k, n) for k in cfg.ks)
+    return tuple(dict.fromkeys(min(k, n) for k in cfg.ks))
 
 
 def cmd_ingest(cfg: RunConfig) -> int:

@@ -62,11 +62,10 @@ class Catalog:
     """The item universe: dense indices 0..n-1 over surviving items."""
 
     items: list[ItemMeta]
-    index: dict[str, int] = field(default_factory=dict)
+    index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {m.id: j for j, m in enumerate(self.items)}
+        self.index = {m.id: j for j, m in enumerate(self.items)}
         if len(self.index) != len(self.items):
             raise DataError("duplicate item ids in catalog")
 
@@ -205,7 +204,8 @@ def preprocess(
     Items without metadata are dropped up front. Item-frequency and
     session-length filtering interact (removing an item can shorten a
     session below the cutoff, and dropping a session lowers frequencies),
-    so the two rules are applied repeatedly until a fixed point.
+    so the two rules alternate until no item is rare. Removal only shrinks
+    the data, so this fixed point does not depend on the order of removal.
     """
     if min_item_freq < 1:
         raise DataError("min_item_freq must be >= 1")
@@ -216,39 +216,19 @@ def preprocess(
     if unknown:
         warnings.warn(f"dropping {len(unknown)} item ids without metadata")
 
-    current: list[tuple[RawSession, list[str]]] = []
-    for s in sessions:
-        seq = [i for i in s.items if i in metadata]
-        if len(seq) >= min_session_len:
-            current.append((s, seq))
-
+    kept = [(s, [i for i in s.items if i in metadata]) for s in sessions]
     while True:
-        freq = Counter(i for _, seq in current for i in seq)
-        keep = {i for i, c in freq.items() if c >= min_item_freq}
-        nxt: list[tuple[RawSession, list[str]]] = []
-        changed = False
-        for s, seq in current:
-            filtered = [i for i in seq if i in keep]
-            if len(filtered) < min_session_len:
-                changed = True
-                continue
-            if len(filtered) != len(seq):
-                changed = True
-            nxt.append((s, filtered))
-        current = nxt
-        if not changed:
+        kept = [(s, seq) for s, seq in kept if len(seq) >= min_session_len]
+        freq = Counter(i for _, seq in kept for i in seq)
+        if all(c >= min_item_freq for c in freq.values()):
             break
+        kept = [(s, [i for i in seq if freq[i] >= min_item_freq]) for s, seq in kept]
 
-    if not current:
+    if not kept:
         raise DataError("empty dataset after preprocessing")
 
-    surviving = sorted({i for _, seq in current for i in seq})
-    catalog = Catalog(items=[metadata[i] for i in surviving])
-    out = [
-        Session(id=s.id, items=[catalog.index[i] for i in seq], user_id=s.user_id)
-        for s, seq in current
-    ]
-    return catalog, out
+    catalog = Catalog(items=[metadata[i] for i in sorted(freq)])
+    return catalog, [Session(id=s.id, items=[catalog.index[i] for i in seq], user_id=s.user_id) for s, seq in kept]
 
 
 def _apportion(total: int, ratios: tuple[float, ...]) -> list[int]:
@@ -281,16 +261,9 @@ def split_by_user(
     keys = sorted({s.user_id or s.id for s in sessions})
     if len(keys) < 3:
         raise DataError("need at least 3 grouping keys to split")
-    rng = np.random.default_rng(seed)
-    order = list(keys)
-    rng.shuffle(order)
-    counts = _apportion(len(order), ratios)
-    assignment: dict[str, str] = {}
-    start = 0
-    for split, count in zip(SPLITS, counts):
-        for key in order[start : start + count]:
-            assignment[key] = split
-        start += count
+    np.random.default_rng(seed).shuffle(keys)
+    names = [split for split, count in zip(SPLITS, _apportion(len(keys), ratios)) for _ in range(count)]
+    assignment = dict(zip(keys, names))
     buckets: dict[str, list[Session]] = {s: [] for s in SPLITS}
     for s in sessions:
         split = assignment[s.user_id or s.id]
@@ -304,18 +277,13 @@ def expand_incremental(sessions: list[Session]) -> list[Example]:
     Training sessions (i1..im) yield all m-1 incremental prefixes; val and
     test sessions yield a single example with the last item as target.
     """
-    examples: list[Example] = []
     for s in sessions:
         if s.split not in SPLITS:
             raise DataError(f"session {s.id} has no split assigned")
         if len(s.items) < 2:
             raise DataError(f"session {s.id} shorter than 2 items")
-        if s.split == "train":
-            for k in range(1, len(s.items)):
-                examples.append(Example(prefix=list(s.items[:k]), target=s.items[k]))
-        else:
-            examples.append(Example(prefix=list(s.items[:-1]), target=s.items[-1]))
-    return examples
+    return [Example(prefix=s.items[:k], target=s.items[k]) for s in sessions
+            for k in range(1 if s.split == "train" else len(s.items) - 1, len(s.items))]
 
 
 def dataset_manifest(catalog: Catalog, splits: dict[str, list[Session]], seed: int) -> dict:

@@ -153,6 +153,18 @@ class MockClient:
         raise GenerationError(f"mock client has no response for prompt hash {key[:12]}...")
 
 
+def _reply_text(body) -> str:
+    """The generated text of a decoded reply: its "text" when it has one, else
+    choices[0].message.content. A reply without such a string is a ValueError."""
+    try:
+        text = body["text"] if "text" in body else body["choices"][0]["message"]["content"]
+    except (TypeError, KeyError, IndexError):
+        text = None
+    if not isinstance(text, str):
+        raise ValueError("the reply holds no string text")
+    return text
+
+
 class HttpClient:
     """Minimal chat-completion client for a hosted endpoint.
 
@@ -182,11 +194,8 @@ class HttpClient:
             try:
                 req = urllib.request.Request(self.url, data=payload, headers=headers)
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    body = json.loads(resp.read().decode("utf-8"))
-                if "text" in body:
-                    return str(body["text"])
-                return str(body["choices"][0]["message"]["content"])
-            except (urllib.error.URLError, TimeoutError, KeyError, IndexError, json.JSONDecodeError) as exc:
+                    return _reply_text(json.loads(resp.read().decode("utf-8")))
+            except (urllib.error.URLError, TimeoutError, ValueError) as exc:  # ValueError: not UTF-8, JSON or a reply
                 last_error = exc
                 if attempt + 1 < self.max_retries:
                     time.sleep(self.backoff * (2**attempt))

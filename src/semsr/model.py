@@ -160,6 +160,9 @@ class Scorer:
         if np.any(lengths == 0):
             raise DataError("prefix must be non-empty")
         idx = np.concatenate(prefixes, dtype=np.intp)
+        bad = idx[(idx < 0) | (idx >= params.n)]
+        if bad.size:
+            raise DataError(f"prefix item {bad[0]} out of range 0..{params.n - 1}")
         S_m, bb_cache = get_backbone(params.backbone).forward(params.tensors["item_table"][idx], params.scoped("bb."), lengths)
         _check_finite("session embedding s_m", S_m)
         cache = {"idx": idx, "bb": bb_cache}
@@ -268,6 +271,9 @@ def load_checkpoint(directory) -> ModelParams:
     table = params.tensors["item_table"] = _read_tensor(table_path)
     if table.shape[1:] != (params.d1,):
         raise DataError(f"{table_path}: the manifest needs shape (n, {params.d1}), found {table.shape}")
+    zero = np.flatnonzero(~np.any(table, axis=1))
+    if zero.size:  # every built-in path L2-normalizes these rows
+        raise DataError(f"{table_path}: row {zero[0]} is all zero")
     bb_init = get_backbone(params.backbone).init_params(params.d1, np.random.default_rng(0))
     shapes = {"item_table": table.shape, **{f"bb.{k}": v.shape for k, v in bb_init.items()}}
     if params.variant == "sem-f":

@@ -1,5 +1,9 @@
 """Shared fixture builders for the test suite."""
 
+import http.server
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 from semsr import model
@@ -52,3 +56,32 @@ def count_item_side_builds(monkeypatch) -> list[str]:
 
         monkeypatch.setattr(model, name, counted)
     return calls
+
+
+@contextmanager
+def serving(body: bytes):
+    """An HTTP server on 127.0.0.1 that answers every POST with status 200
+    and `body`. Yields (url, requests), where `requests` is a list that gets
+    one entry per request served."""
+    requests = []
+
+    class Reply(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            requests.append(self.rfile.read(int(self.headers["Content-Length"])))
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Reply)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/", requests
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)

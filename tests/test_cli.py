@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import semsr.dataset as ds
-from helpers import count_item_side_builds
+from helpers import count_item_side_builds, serving
 from semsr import config, model
 from semsr.cli import main
 from semsr.config import RunConfig, load_config
@@ -451,6 +451,16 @@ class TestRerankCommand:
         first = (workspace / "r1" / "rerank_report.json").read_bytes()
         assert first == (workspace / "r2" / "rerank_report.json").read_bytes()
 
+    def test_repeated_cutoff_is_counted_once(self, workspace):
+        candidates = rerank_inputs(workspace)
+        for ks, out in (("5", "once"), ("5,5", "twice")):
+            assert main([
+                "rerank", "--config", str(workspace / "run.cfg"), "--candidates", str(candidates),
+                "--ranker-checkpoint", str(workspace / "ranker" / "checkpoint"), "--k", ks, "--out", str(workspace / out),
+            ]) == 0
+        once = (workspace / "once" / "rerank_report.json").read_bytes()
+        assert once == (workspace / "twice" / "rerank_report.json").read_bytes()
+
     def test_ranker_that_does_not_fit_the_catalog_is_exit_2(self, workspace, capsys):
         candidates = rerank_inputs(workspace)
         ckpt = workspace / "ranker" / "checkpoint"
@@ -505,6 +515,15 @@ class TestPromptCommand:
 
     def test_prompt_without_client_is_exit_2(self, workspace):
         assert main(["prompt", "--config", str(workspace / "run.cfg")]) == 2
+
+    def test_reply_without_text_is_exit_1(self, workspace, capsys):
+        with serving(b"[1, 2]") as (url, _):
+            cfg = workspace / "http.cfg"
+            cfg.write_text(BASE_CFG + f"endpoint_url = {url}\nmax_retries = 1\nstrategy = zcot\n")
+            capsys.readouterr()
+            assert main(["prompt", "--config", str(cfg), "--out", str(workspace / "p")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: generation failed after 1 attempts") and err.count("\n") == 1
 
 
 class TestExitCodes:

@@ -1,8 +1,11 @@
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semsr.dataset import (
     RawSession,
@@ -128,20 +131,29 @@ class TestPreprocess:
         got = [[catalog.items[i].id for i in s.items] for s in out]
         assert got == expected
 
-    def test_fixed_point_reached(self):
-        # chain where removing one item cascades
-        rng = np.random.default_rng(7)
-        ids = [f"i{j}" for j in range(12)]
-        seqs = [[ids[int(x)] for x in rng.integers(0, 12, size=rng.integers(2, 6))] for _ in range(30)]
-        sessions = [RawSession(id=f"s{i}", items=s) for i, s in enumerate(seqs)]
-        meta = {m["id"]: _meta(m) for m in metadata_records(ids)}
-        catalog, out = preprocess(sessions, meta, min_item_freq=4, min_session_len=2)
-        # re-running the filter on the output changes nothing
-        got = [[catalog.items[i].id for i in s.items] for s in out]
-        assert brute_force_filter(got, 4, 2) == got
-        freq = Counter(i for s in got for i in s)
-        assert all(c >= 4 for c in freq.values())
-        assert all(len(s) >= 2 for s in got)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seqs=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6), min_size=1, max_size=30),
+        n_known=st.integers(1, 10),
+        min_freq=st.integers(1, 4),
+        min_len=st.integers(2, 3),
+    )
+    def test_fixed_point_reached(self, seqs, n_known, min_freq, min_len):
+        """Items i0..i{n_known-1} have metadata; the filter's output is the
+        brute-force fixed point over the sessions restricted to them."""
+        ids = [[f"i{x}" for x in seq] for seq in seqs]
+        sessions = [RawSession(id=f"s{j}", items=seq) for j, seq in enumerate(ids)]
+        meta = {m["id"]: _meta(m) for m in metadata_records([f"i{x}" for x in range(n_known)])}
+        expected = brute_force_filter([[i for i in seq if i in meta] for seq in ids], min_freq, min_len)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # items without metadata are dropped with a warning
+            if not expected:
+                with pytest.raises(DataError, match="empty dataset"):
+                    preprocess(sessions, meta, min_item_freq=min_freq, min_session_len=min_len)
+                return
+            catalog, out = preprocess(sessions, meta, min_item_freq=min_freq, min_session_len=min_len)
+        assert [m.id for m in catalog.items] == sorted({i for seq in expected for i in seq})
+        assert [[catalog.items[i].id for i in s.items] for s in out] == expected
 
     def test_all_filtered_is_an_error(self):
         sessions = [RawSession(id="s", items=["a", "b"])]
@@ -198,6 +210,16 @@ class TestSplit:
                 assert seen.setdefault(s.user_id, name) == name
                 assert s.split == name
         assert sum(len(p) for p in parts) == len(sessions)
+
+    def test_assignment_is_pinned_for_a_seed(self):
+        # recorded from the reference implementation: 12 keys at 0.6/0.2/0.2 apportion to 7/3/2
+        sessions = _sessions_for_users(7, per_user=2) + [Session(id=f"anon{j}", items=[1, 0]) for j in range(5)]
+        parts = split_by_user(sessions, ratios=(0.6, 0.2, 0.2), seed=4)
+        assert [[s.id for s in part] for part in parts] == [
+            ["u2-s0", "u2-s1", "u3-s0", "u3-s1", "u4-s0", "u4-s1", "u5-s0", "u5-s1", "anon0", "anon1", "anon2"],
+            ["u1-s0", "u1-s1", "anon3", "anon4"],
+            ["u0-s0", "u0-s1", "u6-s0", "u6-s1"],
+        ]
 
     def test_too_few_keys(self):
         with pytest.raises(DataError, match="3 grouping keys"):

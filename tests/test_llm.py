@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_catalog
+from helpers import make_catalog, serving
 from semsr.dataset import Session
 from semsr.embeddings import encode_text
 from semsr.errors import DataError, GenerationError
@@ -202,6 +202,26 @@ class TestHttpClient:
         client = HttpClient("http://127.0.0.1:9/", timeout=0.2, max_retries=2, backoff=0.0)
         with pytest.raises(GenerationError, match="2 attempts"):
             client.generate("sys", "usr")
+
+    @pytest.mark.parametrize("body, text", [
+        (b'{"text": "a title"}', "a title"),
+        (b'{"choices": [{"message": {"content": "a title"}}]}', "a title"),
+    ])
+    def test_reads_the_text_of_either_reply_shape(self, body, text):
+        with serving(body) as (url, requests):
+            assert HttpClient(url, timeout=10, max_retries=2, backoff=0.0).generate("sys", "usr") == text
+        assert len(requests) == 1
+
+    @pytest.mark.parametrize("body", [
+        b"[1, 2]", b'"x"', b"5", b'{"choices": "x"}', b'{"choices": [{"message": null}]}', b"\xff\xfe",
+        b'{"text": null}', b'{"text": 5}', b"{}", b'{"choices": []}',
+    ])
+    def test_reply_without_a_string_text_is_a_failed_attempt(self, body):
+        with serving(body) as (url, requests):
+            client = HttpClient(url, timeout=10, max_retries=2, backoff=0.0)
+            with pytest.raises(GenerationError, match="2 attempts"):
+                client.generate("sys", "usr")
+        assert len(requests) == 2
 
 
 class TestTitleIndex:

@@ -169,6 +169,12 @@ def _manifest(text: str, key: str, literal: str) -> str:
     return json.dumps(fields).replace('"@"', literal)
 
 
+def _zero_last_row(raw: bytes) -> bytes:
+    """An (n, d1) blob -- rank, n and d1 as u64 LE, then float32 values -- with its last row zeroed."""
+    width = struct.unpack_from("<Q", raw, 16)[0]
+    return raw[: -4 * width] + bytes(4 * width)
+
+
 CHECKPOINT_FAULTS = {
     # dims 2^32 x 2^32 x 16 multiply to 2^68, which wraps to 0 in int64: an empty blob must not pass
     "dims-overflow": ("item_table.bin", lambda raw: struct.pack("<4Q", 3, 2**32, 2**32, 16)),
@@ -187,6 +193,7 @@ CHECKPOINT_FAULTS = {
     "misshapen-backbone-tensor": ("bb.W2.bin", lambda raw: struct.pack("<Q", 2) + f32_bytes(np.ones((3, 3)))),
     "missing-backbone-tensor": ("bb.W2.bin", lambda raw: None),
     "unknown-backbone-tensor": ("bb.extra.bin", lambda raw: struct.pack("<Q", 1) + f32_bytes(np.ones(3))),
+    "zero-row-in-item-table": ("item_table.bin", _zero_last_row),
 }
 
 

@@ -80,6 +80,14 @@ class TestScoreAll:
         with pytest.raises(DataError, match="non-empty"):
             score_all([], params)
 
+    @pytest.mark.parametrize("variant", ["base", "sem-f"])
+    @pytest.mark.parametrize("prefix", [[-1], [5], [0, -2, 3]])
+    def test_prefix_item_outside_the_catalog_rejected(self, variant, prefix):
+        # -1 would wrap around to item n-1, and n would be a raw IndexError
+        params, semantic = small_model(variant)
+        with pytest.raises(DataError, match=r"prefix item (-1|5|-2) out of range 0\.\.4"):
+            score_all(prefix, params, semantic)
+
 
 class TestTopK:
     def test_simple_ordering(self):
@@ -339,6 +347,14 @@ class TestCheckpoints:
         params.d1, params.tensors = 0, {"item_table": np.zeros((params.n, 0))}
         save_checkpoint(tmp_path / "ckpt", params)
         with pytest.raises(DataError, match="manifest.json: widths d1, d2 and d must be >= 1"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("variant", ["base", "sem-f"])
+    def test_all_zero_item_row_is_rejected_naming_blob_and_row(self, tmp_path, variant):
+        params, _ = small_model(variant)
+        params.tensors["item_table"][3] = 0.0
+        save_checkpoint(tmp_path / "ckpt", params)
+        with pytest.raises(DataError, match=r"item_table\.bin: row 3 is all zero"):
             load_checkpoint(tmp_path / "ckpt")
 
     def test_missing_manifest_rejected(self, tmp_path):

@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 
 from helpers import make_catalog, make_semantic
-from semsr import encoder, train
+from semsr import dataset, encoder, train
 from semsr.dataset import Example
 from semsr.model import init_model
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
+from test_cli import write_fixture_dataset  # noqa: E402
 
 
 def test_instrument_enters_traces_and_restores():
@@ -37,3 +38,18 @@ def test_instrument_enters_traces_and_restores():
     assert tracer.counts["encoder.calls"] == 4 and tracer.counts["encoder.rows"] == 26
     assert all(getattr(m, a) is fn for m, a, fn in originals)
     assert encoder.get_backbone("attn-niser") is backbone
+
+
+def test_ingest_path_is_traced(tmp_path):
+    """The set-up's ingest steps feed the bench's dataset.ingest_s and
+    dataset.preprocess_s, which would read 0 if these spans went missing."""
+    write_fixture_dataset(tmp_path)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        sessions = dataset.ingest_sessions(tmp_path / "sessions.jsonl")
+        metadata = dataset.load_metadata(tmp_path / "items.jsonl")
+        _, processed = dataset.preprocess(sessions, metadata, min_item_freq=2)
+        train_part, _, _ = dataset.split_by_user(processed)
+        assert dataset.expand_incremental(train_part)
+    names = [span[0] for span in tracer.spans]
+    assert names == ["dataset.ingest"] * 2 + ["dataset.preprocess"] * 3

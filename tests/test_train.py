@@ -77,6 +77,14 @@ class TestLossValues:
         with pytest.raises(DataError, match="out of range"):
             loss_and_grad([Example(prefix=[0], target=99)], params)
 
+    @pytest.mark.parametrize("variant", ["base", "sem-f"])
+    @pytest.mark.parametrize("prefix", [[-2, 3], [7]])
+    def test_prefix_item_outside_the_catalog_rejected(self, variant, prefix):
+        # [-2, 3] would train item n-2
+        params, semantic = build(variant)
+        with pytest.raises(DataError, match=f"prefix item {prefix[0]} out of range 0..6"):
+            loss_and_grad([Example(prefix=prefix, target=0)], params, semantic if variant == "sem-f" else None)
+
 
 class TestGradients:
     def test_base_matches_finite_differences(self):
