@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 computation failure, 2 usage or IO error.
 """
 
 import argparse
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
@@ -21,7 +20,7 @@ from .config import RunConfig, load_config
 from .embeddings import SemanticItemTable, load_semantic_table, pseudo_semantic_table
 from .errors import DataError, SemsrError
 from .llm import HttpClient, MockClient, build_fewshot_strategy, build_title_index, load_templates, recommend_via_llm
-from .metrics import evaluate, recall_at_k, write_report
+from .metrics import EvalResult, evaluate, recall_at_k
 from .model import VARIANTS, Scorer, init_model, load_checkpoint, save_checkpoint, scorer
 from .retrieval import read_candidates, rerank, write_candidates
 from .train import TrainingDiverged, fit
@@ -65,8 +64,24 @@ def _checkpoint_scorer(cfg: RunConfig, path: Path, params, catalog) -> Scorer:
         raise DataError(f"{path / 'manifest.json'}: {exc}, from {_semantic_source(cfg)}") from None
 
 
-def _clamped_ks(cfg: RunConfig, n: int):
-    return tuple(dict.fromkeys(min(k, n) for k in cfg.ks))
+def _test_set(cfg: RunConfig):
+    """The catalog, the splits, the test examples and the configured Ks
+    clamped to the catalog size (repeats dropped); an empty test split is an
+    error."""
+    catalog, splits = _load_data_dir(cfg)
+    examples = ds.expand_incremental(splits["test"])
+    if not examples:
+        raise DataError("empty test split")
+    return catalog, splits, examples, tuple(dict.fromkeys(min(k, catalog.n) for k in cfg.ks))
+
+
+def _write_report(cfg: RunConfig, name: str, result: EvalResult, **extra) -> Path:
+    """Write `result` with `extra` and the seed to <out>/<name>, creating
+    the out directory; returns the report's path."""
+    out = Path(cfg.out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    ds.write_json(out / name, {**result.to_json_dict(), **extra, "seed": cfg.seed})
+    return out / name
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -82,7 +97,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     for name, part in splits.items():
         ds.save_sessions(out / f"{name}.jsonl", part)
     manifest = ds.dataset_manifest(catalog, splits, cfg.seed)
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    ds.write_json(out / "manifest.json", manifest)
 
     print(f"items: {manifest['n_items']}")
     print(f"sessions: train={manifest['n_train']} val={manifest['n_val']} test={manifest['n_test']}")
@@ -118,7 +133,7 @@ def cmd_train(cfg: RunConfig) -> int:
     except TrainingDiverged as exc:
         diverged, best, history = exc, exc.params, exc.history
     save_checkpoint(out / "checkpoint", best)
-    (out / "history.json").write_text(json.dumps(history, sort_keys=True, indent=2) + "\n")
+    ds.write_json(out / "history.json", history)
     if diverged is not None:
         print(f"error: training diverged ({diverged}); last good checkpoint retained", file=sys.stderr)
         return 1
@@ -133,34 +148,26 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     path = _require(cfg.checkpoint, "checkpoint")
     params = load_checkpoint(path)
-    catalog, splits = _load_data_dir(cfg)
-    examples = ds.expand_incremental(splits["test"])
-    if not examples:
-        raise DataError("empty test split")
-    ks = _clamped_ks(cfg, catalog.n)
+    catalog, _, examples, ks = _test_set(cfg)
     ranked = _checkpoint_scorer(cfg, path, params, catalog).rank(examples, max(ks))
     result = evaluate(ranked, [ex.target for ex in examples], ks)
-    out = Path(cfg.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(out / "report.json", result, extra={"variant": params.variant, "seed": cfg.seed})
+    report = _write_report(cfg, "report.json", result, variant=params.variant)
     if cfg.dump_candidates:
         write_candidates(cfg.dump_candidates, ranked)
         print(f"candidates: {cfg.dump_candidates}")
     print(result.render_text())
-    print(f"report: {out / 'report.json'}")
+    print(f"report: {report}")
     return 0
 
 
 def cmd_rerank(cfg: RunConfig) -> int:
-    catalog, splits = _load_data_dir(cfg)
+    catalog, _, examples, ks = _test_set(cfg)
     path = _require(cfg.candidates, "candidates")
     candidates = read_candidates(path, catalog.n)
     ranker_path = _require(cfg.ranker_checkpoint, "ranker_checkpoint")
     ranker = load_checkpoint(ranker_path)
-    examples = ds.expand_incremental(splits["test"])
     if len(candidates) != len(examples):
         raise DataError(f"{path}: {len(candidates)} candidate lists but {len(examples)} test examples")
-    ks = _clamped_ks(cfg, catalog.n)
     if any(len(c) < max(ks) for c in candidates):
         raise DataError(f"{path}: candidate lists shorter than K={max(ks)}")
     ranker_scorer = _checkpoint_scorer(cfg, ranker_path, ranker, catalog)
@@ -176,26 +183,16 @@ def cmd_rerank(cfg: RunConfig) -> int:
             reranked[k].append(head)
     targets = [ex.target for ex in examples]
     before = evaluate(candidates, targets, ks).per_k
-    per_k = {}
-    for k in ks:
-        after = evaluate(reranked[k], targets, (k,)).per_k[k]
-        per_k[str(k)] = {"recall": after["recall"], "mrr": after["mrr"], "mrr_before": before[k]["mrr"]}
-    out = Path(cfg.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {"K": per_k, "n_examples": len(examples), "ranker_variant": ranker.variant, "seed": cfg.seed}
-    (out / "rerank_report.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    for k in ks:
-        row = per_k[str(k)]
-        print(f"K={k}: recall={row['recall']:.4f} mrr={row['mrr_before']:.4f} -> {row['mrr']:.4f}")
-    print(f"report: {out / 'rerank_report.json'}")
+    per_k = {k: {**evaluate(reranked[k], targets, (k,)).per_k[k], "mrr_before": before[k]["mrr"]} for k in ks}
+    report = _write_report(cfg, "rerank_report.json", EvalResult(per_k, len(examples)), ranker_variant=ranker.variant)
+    for k, v in per_k.items():
+        print(f"K={k}: recall={v['recall']:.4f} mrr={v['mrr_before']:.4f} -> {v['mrr']:.4f}")
+    print(f"report: {report}")
     return 0
 
 
 def cmd_prompt(cfg: RunConfig) -> int:
-    catalog, splits = _load_data_dir(cfg)
-    examples = ds.expand_incremental(splits["test"])
-    if not examples:
-        raise DataError("empty test split")
+    catalog, splits, examples, ks = _test_set(cfg)
     strategy = build_fewshot_strategy(cfg.strategy, splits["train"], catalog, cfg.shots, cfg.seed)
     if cfg.mock_responses:
         client = MockClient.from_file(cfg.mock_responses, default=cfg.mock_default)
@@ -205,7 +202,6 @@ def cmd_prompt(cfg: RunConfig) -> int:
         raise DataError("prompt command needs mock_responses or endpoint_url")
     index = build_title_index(catalog, cfg.d2)
     templates = load_templates(cfg.templates_dir)
-    ks = _clamped_ks(cfg, catalog.n)
     k_max = max(ks)
 
     def run_one(ex):
@@ -214,13 +210,10 @@ def cmd_prompt(cfg: RunConfig) -> int:
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         ranked = list(pool.map(run_one, examples))  # in example order for any thread count
     result = evaluate(ranked, [ex.target for ex in examples], ks)
-    out = Path(cfg.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / f"prompt_report_{cfg.strategy}.json"
-    write_report(report_path, result, extra={"strategy": cfg.strategy, "seed": cfg.seed})
+    report = _write_report(cfg, f"prompt_report_{cfg.strategy}.json", result, strategy=cfg.strategy)
     print(f"strategy: {cfg.strategy}")
     print(result.render_text())
-    print(f"report: {report_path}")
+    print(f"report: {report}")
     return 0
 
 

@@ -112,6 +112,13 @@ def json_object(line: str) -> dict:
     return rec
 
 
+def write_json(path, payload) -> None:
+    """Write `payload` in the one JSON encoding of reports and manifests:
+    sorted keys, two-space indent and one trailing newline, so equal
+    payloads give equal bytes."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _required(rec: dict, key: str):
     """rec[key]; a missing key is a DataError."""
     if key not in rec:
@@ -347,17 +354,24 @@ def save_sessions(path, sessions: list[Session]) -> None:
 
 def load_sessions(path, n: int, split: str | None = None) -> list[Session]:
     """Read a split file written by save_sessions over a catalog of n items;
-    a session with an item outside 0..n-1 is an error naming its line."""
+    a session with an item outside 0..n-1, or with a "split" that differs
+    from the file's `split` (or, with no `split` given, is not one of
+    SPLITS), is an error naming its line."""
 
     def parse(line: str) -> Session:
         rec = json_object(line)
+        own = rec.get("split")
+        if split is not None and own not in (None, split):
+            raise DataError(f"'split' is {own!r} in a {split} file")
+        if split is None and own not in (None, *SPLITS):
+            raise DataError(f"'split' must be one of {SPLITS}, got {own!r}")
         items = _required(rec, "items")
         if not isinstance(items, list) or len(items) < 2 or any(type(i) is not int for i in items):
             raise DataError("'items' must be a list of at least 2 integers")
         if not 0 <= min(items) <= max(items) < n:
             raise DataError(f"item outside the catalog's 0..{n - 1}")
         return Session(
-            id=_required(rec, "session_id"), items=items, user_id=rec.get("user_id"), split=rec.get("split") or split
+            id=_required(rec, "session_id"), items=items, user_id=rec.get("user_id"), split=split or own
         )
 
     return read_records(path, "session", parse)

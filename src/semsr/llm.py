@@ -91,24 +91,21 @@ def _shots_block(shots: list[tuple[list[str], str]]) -> str:
 def build_prompt(
     strategy: PromptStrategy,
     session_titles: list[str],
-    step: int = 1,
     rationale: str | None = None,
     templates: dict[str, str] | None = None,
 ) -> tuple[str, str]:
-    """Deterministic template fill; returns (system text, user text)."""
+    """Deterministic template fill; returns (system text, user text). With
+    no rationale this is the first step; with the step-1 rationale it is
+    the second, which only the chain-of-thought strategies have."""
     if not session_titles:
         raise DataError("session titles must be non-empty")
-    if step not in (1, 2):
-        raise DataError("step must be 1 or 2")
-    if step == 2 and strategy.kind == "fs":
+    if rationale is not None and strategy.kind == "fs":
         raise DataError("fs strategy has no second step")
-    if step == 2 and rationale is None:
-        raise DataError("step 2 requires the step-1 rationale")
     tpl = templates or load_templates()
     if strategy.kind == "fs":
         user_tpl = tpl["fs"]
     else:
-        user_tpl = tpl["cot_step1"] if step == 1 else tpl["cot_step2"]
+        user_tpl = tpl["cot_step1"] if rationale is None else tpl["cot_step2"]
     user = (
         user_tpl.replace("{{shots}}", _shots_block(strategy.shots))
         .replace("{{session}}", _session_block(session_titles))
@@ -249,13 +246,13 @@ def recommend_via_llm(
     titles = [catalog.title(i) for i in session_items]
     encoder = encoder or partial(encode_text, d2=index.width)
     templates = templates or load_templates()
-    system, user = build_prompt(strategy, titles, step=1, templates=templates)
+    system, user = build_prompt(strategy, titles, templates=templates)
     text = client.generate(system, user)
     if strategy.steps == 2:
         rationale = text.strip()
         if not rationale:
             raise GenerationError("empty rationale from step 1")
-        system, user = build_prompt(strategy, titles, step=2, rationale=rationale, templates=templates)
+        system, user = build_prompt(strategy, titles, rationale=rationale, templates=templates)
         text = client.generate(system, user)
     title = text.strip()
     if not title:

@@ -5,7 +5,6 @@ metrics (truncated MRR). Means use exact summation so results do not
 depend on example order.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -14,24 +13,18 @@ import numpy as np
 from .errors import DataError
 
 
-def _item_array(ranked) -> np.ndarray:
-    items = getattr(ranked, "items", ranked)
-    return np.asarray(items, dtype=np.int64)
+def target_rank(ranked, target: int) -> int:
+    """The target's 1-based position in a ranked list (a RankedList or a
+    sequence of item ids), or 0 when the target is absent."""
+    hits = np.flatnonzero(np.asarray(getattr(ranked, "items", ranked), dtype=np.int64) == target)
+    return int(hits[0]) + 1 if hits.size else 0
 
 
 def recall_at_k(ranked, target: int, k: int) -> int:
     """1 if the target appears within the first k entries, else 0."""
     if k < 1:
         raise DataError("k must be >= 1")
-    return int(np.any(_item_array(ranked)[:k] == target))
-
-
-def rr_at_k(ranked, target: int, k: int) -> float:
-    """Reciprocal of the target's 1-based rank if within k, else 0."""
-    if k < 1:
-        raise DataError("k must be >= 1")
-    hits = np.nonzero(_item_array(ranked)[:k] == target)[0]
-    return 1.0 / (int(hits[0]) + 1) if hits.size else 0.0
+    return int(0 < target_rank(ranked, target) <= k)
 
 
 @dataclass
@@ -40,10 +33,7 @@ class EvalResult:
     n_examples: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "K": {str(k): {"recall": v["recall"], "mrr": v["mrr"]} for k, v in sorted(self.per_k.items())},
-            "n_examples": self.n_examples,
-        }
+        return {"K": {str(k): dict(v) for k, v in sorted(self.per_k.items())}, "n_examples": self.n_examples}
 
     def render_text(self) -> str:
         lines = [f"{'K':>6}  {'recall':>10}  {'mrr':>10}"]
@@ -55,28 +45,25 @@ class EvalResult:
 
 
 def evaluate(ranked_lists, targets, ks=(20, 100)) -> EvalResult:
-    """Mean Recall@K and MRR@K over (ranked list, target) pairs."""
+    """Mean Recall@K and MRR@K over (ranked list, target) pairs, every K
+    derived from one target rank per list."""
     ranked_lists = list(ranked_lists)
     targets = list(targets)
     if not ranked_lists:
         raise DataError("empty test set")
     if len(ranked_lists) != len(targets):
         raise DataError("ranked lists and targets differ in length")
-    per_k = {}
-    for k in ks:
-        recalls = [recall_at_k(rl, t, k) for rl, t in zip(ranked_lists, targets)]
-        rrs = [rr_at_k(rl, t, k) for rl, t in zip(ranked_lists, targets)]
-        per_k[int(k)] = {
-            "recall": math.fsum(recalls) / len(recalls),
-            "mrr": math.fsum(rrs) / len(rrs),
-        }
-    return EvalResult(per_k=per_k, n_examples=len(ranked_lists))
-
-
-def write_report(path, result: EvalResult, extra: dict | None = None) -> None:
-    payload = result.to_json_dict()
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    if any(k < 1 for k in ks):
+        raise DataError("k must be >= 1")
+    ranks = [target_rank(rl, t) for rl, t in zip(ranked_lists, targets)]
+    m = len(ranks)
+    return EvalResult(
+        per_k={
+            int(k): {
+                "recall": math.fsum(0 < r <= k for r in ranks) / m,
+                "mrr": math.fsum(1.0 / r for r in ranks if 0 < r <= k) / m,
+            }
+            for k in ks
+        },
+        n_examples=m,
+    )

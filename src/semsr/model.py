@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import write_json
 from .embeddings import SemanticItemTable, f32_bytes, fit_projection, read_f32
 from .encoder import BACKBONES, attention_forward, attention_shapes, get_backbone, init_attention_tensors, normalize_rows, softmax
 from .errors import DataError, NumericError
@@ -226,7 +227,7 @@ def save_checkpoint(directory, params: ModelParams) -> None:
     manifest = {key: getattr(params, key) for key in _MANIFEST}
     if params.variant == "sem-f":
         manifest["semantic_fingerprint"] = params.semantic_fingerprint
-    (staging / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(staging / "manifest.json", manifest)
     for name, tensor in params.tensors.items():
         (staging / f"{name}.bin").write_bytes(struct.pack("<Q", np.ndim(tensor)) + f32_bytes(tensor))
     if directory.exists():

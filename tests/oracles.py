@@ -179,5 +179,14 @@ def numeric_grad(loss_fn, tensor, h: float = 1e-4):
     return out
 
 
+def rr_at_k(items, target: int, k: int) -> float:
+    """Truncated reciprocal rank by linear scan: 1/rank of the target among
+    the first k items, 0.0 when it is not there."""
+    for pos, item in enumerate(list(items)[:k], start=1):
+        if item == target:
+            return 1.0 / pos
+    return 0.0
+
+
 def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)

@@ -12,13 +12,13 @@ import numpy as np
 
 import semsr.dataset as ds
 from helpers import clustered_semantic, make_catalog, make_semantic
-from oracles import numeric_grad, rel_err, scalar_score_all
+from oracles import numeric_grad, rel_err, rr_at_k, scalar_score_all
 from semsr.cli import main
 from semsr.dataset import Example
 from semsr.embeddings import fingerprint_matrix
 from semsr.encoder import attention_forward, get_backbone, init_attention_tensors
 from semsr.llm import build_fewshot_strategy, build_prompt, load_templates, prompt_hash
-from semsr.metrics import evaluate, recall_at_k, rr_at_k
+from semsr.metrics import evaluate, recall_at_k
 from semsr.model import init_model, rank_examples, save_checkpoint, score_all
 from semsr.retrieval import RankedList, build_index, rerank
 from semsr.train import fit, loss_and_grad
@@ -157,7 +157,7 @@ def test_criterion_4_reranking():
             assert recall_at_k(out, target, k) == recall_at_k(cand, target, k)
             again = rerank(out, ranker, k)
             assert out.items.tolist() == again.items.tolist()
-            if rr_at_k(out, target, k) != rr_at_k(cand, target, k):
+            if rr_at_k(out.items, target, k) != rr_at_k(cand.items, target, k):
                 mrr_changes[k] += 1
     assert all(count > 0 for count in mrr_changes.values()), "ranker never changed any reciprocal rank"
     return f"500 lists; recall preserved at K=20,100; MRR changed for {mrr_changes[20]}/{mrr_changes[100]} lists"
@@ -316,13 +316,13 @@ def _exact_title_mock(tmp_path, kind, seed, shots):
     mapping = {}
     for ex in ds.expand_incremental(test):
         titles = [catalog.title(i) for i in ex.prefix]
-        system, user = build_prompt(strategy, titles, step=1, templates=templates)
+        system, user = build_prompt(strategy, titles, templates=templates)
         if strategy.steps == 1:
             mapping[prompt_hash(system, user)] = catalog.title(ex.target)
         else:
             rationale = f"the customer is browsing items like {titles[-1]}"
             mapping[prompt_hash(system, user)] = rationale
-            system2, user2 = build_prompt(strategy, titles, step=2, rationale=rationale, templates=templates)
+            system2, user2 = build_prompt(strategy, titles, rationale=rationale, templates=templates)
             mapping[prompt_hash(system2, user2)] = catalog.title(ex.target)
     path = tmp_path / f"mock_{kind}.json"
     path.write_text(json.dumps(mapping))

@@ -9,13 +9,13 @@ import pytest
 
 import semsr.dataset as ds
 from helpers import count_item_side_builds, serving
+from oracles import rr_at_k
 from semsr import config, model
 from semsr.cli import main
 from semsr.config import RunConfig, load_config
 from semsr.embeddings import pseudo_semantic_table, save_semantic_tsv
 from semsr.errors import DataError
 from semsr.llm import build_fewshot_strategy, build_prompt, load_templates, prompt_hash
-from semsr.metrics import rr_at_k
 from semsr.model import load_checkpoint, save_checkpoint, score_all
 from semsr.retrieval import read_candidates, rerank
 
@@ -439,10 +439,20 @@ class TestRerankCommand:
         for k in (5, 10):
             rr_after, rr_before = [], []
             for ex, cand in zip(examples, cands):
-                rr_after.append(rr_at_k(rerank(cand, score_all(ex.prefix, ranker, semantic), k), ex.target, k))
-                rr_before.append(rr_at_k(cand, ex.target, k))
+                rr_after.append(rr_at_k(rerank(cand, score_all(ex.prefix, ranker, semantic), k).items, ex.target, k))
+                rr_before.append(rr_at_k(cand.items, ex.target, k))
             assert report["K"][str(k)]["mrr"] == math.fsum(rr_after) / len(examples)
             assert report["K"][str(k)]["mrr_before"] == math.fsum(rr_before) / len(examples)
+
+    def test_report_has_the_eval_layout_plus_mrr_before(self, workspace):
+        candidates = rerank_inputs(workspace)
+        assert run_rerank(workspace, candidates) == 0
+        report = json.loads((workspace / "rerank" / "rerank_report.json").read_text())
+        eval_report = json.loads((workspace / "cand-eval" / "report.json").read_text())
+        assert report.keys() - {"ranker_variant"} == eval_report.keys() - {"variant"}
+        for k, row in eval_report["K"].items():
+            assert report["K"][k].keys() == row.keys() | {"mrr_before"}
+            assert report["K"][k]["mrr_before"] == row["mrr"]
 
     def test_report_is_byte_identical_across_runs(self, workspace):
         candidates = rerank_inputs(workspace, "sem-f")
@@ -497,7 +507,7 @@ class TestPromptCommand:
         mapping = {}
         for ex in examples:
             titles = [catalog.title(i) for i in ex.prefix]
-            system, user = build_prompt(strategy, titles, step=1, templates=templates)
+            system, user = build_prompt(strategy, titles, templates=templates)
             mapping[prompt_hash(system, user)] = catalog.title(ex.target)
         (workspace / "mock.json").write_text(json.dumps(mapping))
         cfg = workspace / "run.cfg"

@@ -21,6 +21,7 @@ from semsr.dataset import (
     save_catalog,
     save_sessions,
     split_by_user,
+    write_json,
 )
 from semsr.errors import DataError
 
@@ -275,6 +276,14 @@ class TestPersistence:
         write_jsonl(f, [{"id": "a", "title": "A"}, {"id": "b", "title": "B"}, {"id": "a", "title": "C"}])
         with pytest.raises(DataError, match="catalog.json:3: catalog: duplicate item id 'a'"):
             load_catalog(f)
+
+    def test_write_json_is_the_one_encoding(self, tmp_path):
+        """Sorted keys at every depth, two-space indent, one trailing newline."""
+        write_json(tmp_path / "out.json", {"b": [1, {"z": 0.5, "a": None}], "a": {"y": "t", "x": True}})
+        assert (tmp_path / "out.json").read_text() == (
+            '{\n  "a": {\n    "x": true,\n    "y": "t"\n  },\n'
+            '  "b": [\n    1,\n    {\n      "a": null,\n      "z": 0.5\n    }\n  ]\n}\n'
+        )
 
     def test_sessions_roundtrip(self, tmp_path):
         sessions = [Session(id="a", items=[0, 1, 2], user_id="u", split="train")]

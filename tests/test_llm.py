@@ -37,22 +37,25 @@ class TestBuildPrompt:
         assert user.index("mug rack") < user.index("Current session")
 
     def test_zcot_prompt_has_no_shots_block(self):
-        _, user = build_prompt(PromptStrategy(kind="zcot"), ["desk lamp"], step=1)
+        _, user = build_prompt(PromptStrategy(kind="zcot"), ["desk lamp"])
         assert "Next item:" not in user
         assert "desk lamp" in user
 
     def test_step_two_includes_rationale(self):
         strategy = PromptStrategy(kind="fscot", shots=SHOTS)
-        _, user = build_prompt(strategy, ["desk lamp"], step=2, rationale="they furnish an office")
+        _, user = build_prompt(strategy, ["desk lamp"], rationale="they furnish an office")
         assert "they furnish an office" in user
 
     def test_fs_has_no_step_two(self):
         with pytest.raises(DataError, match="second step"):
-            build_prompt(PromptStrategy(kind="fs", shots=SHOTS), ["a"], step=2, rationale="r")
+            build_prompt(PromptStrategy(kind="fs", shots=SHOTS), ["a"], rationale="r")
 
-    def test_step_two_requires_rationale(self):
-        with pytest.raises(DataError, match="rationale"):
-            build_prompt(PromptStrategy(kind="zcot"), ["a"], step=2)
+    def test_rationale_selects_the_step(self):
+        strategy = PromptStrategy(kind="zcot")
+        _, first = build_prompt(strategy, ["a"])
+        _, second = build_prompt(strategy, ["a"], rationale="r")
+        assert "Do not name a specific product yet" in first and "Session analysis" not in first
+        assert "Session analysis:\nr" in second
 
     def test_empty_session_rejected(self):
         with pytest.raises(DataError, match="non-empty"):
@@ -117,10 +120,10 @@ class TestRecommend:
         """Build the replay map by walking the same prompts the pipeline will."""
         titles = [self.catalog.title(i) for i in session_items]
         mapping = {}
-        system, user = build_prompt(strategy, titles, step=1, templates=self.templates)
+        system, user = build_prompt(strategy, titles, templates=self.templates)
         mapping[prompt_hash(system, user)] = responses[0]
         if strategy.steps == 2:
-            system, user = build_prompt(strategy, titles, step=2, rationale=responses[0].strip(), templates=self.templates)
+            system, user = build_prompt(strategy, titles, rationale=responses[0].strip(), templates=self.templates)
             mapping[prompt_hash(system, user)] = responses[1]
         return MockClient(mapping)
 

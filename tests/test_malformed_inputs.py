@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from semsr import dataset as ds
 from semsr.cli import main
 from semsr.embeddings import f32_bytes, pseudo_semantic_table, save_semantic_binary, save_semantic_tsv
+from semsr.errors import DataError
 from test_cli import BASE_CFG, write_fixture_dataset
 
 
@@ -160,6 +161,30 @@ def assert_exit_2_naming(code: int, err: str, path) -> None:
     assert code == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, split", [("train", "test"), ("test", "bogus"), ("val", "train")])
+def test_split_record_naming_another_split_is_exit_2_naming_its_line(workspace, name, split):
+    """The file decides a session's split: a record whose own "split" says
+    otherwise is an error, not a session moved to another split."""
+    path = workspace / "data" / f"{name}.jsonl"
+    original = path.read_text()
+    lines = original.splitlines()
+    lines[-1] = json.dumps({**json.loads(lines[-1]), "split": split})
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        code, err = run(command(workspace, "eval"))
+    finally:
+        path.write_text(original)
+    assert_exit_2_naming(code, err, f"{path}:{len(lines)}: session: ")
+
+
+def test_split_outside_splits_is_an_error_when_no_file_split_is_given(tmp_path):
+    path = tmp_path / "sessions.jsonl"
+    recs = [{"session_id": "a", "items": [0, 1], "split": "val"}, {"session_id": "b", "items": [0, 1], "split": "bogus"}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    with pytest.raises(DataError, match=f"{path}:2: session: 'split' must be one of"):
+        ds.load_sessions(path, 2)
 
 
 def _manifest(text: str, key: str, literal: str) -> str:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semsr.errors import DataError
-from semsr.metrics import EvalResult, evaluate, recall_at_k, rr_at_k
+from semsr.metrics import EvalResult, evaluate, recall_at_k, target_rank
+from semsr.retrieval import RankedList
 
 
 def scan_rank(items, target):
@@ -32,21 +35,41 @@ class TestRecall:
             assert recall_at_k(items, target, k) == (1 if rank else 0)
 
 
-class TestReciprocalRank:
-    def test_rank_four(self):
-        assert rr_at_k([9, 8, 7, 6, 5], 6, 10) == 0.25
-
-    def test_just_past_cutoff(self):
-        assert rr_at_k([9, 8, 7, 6], 6, 3) == 0.0
-
+class TestTargetRank:
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            items = rng.permutation(50)[:20].tolist()
+            items = rng.permutation(50)[: int(rng.integers(0, 21))].tolist()
             target = int(rng.integers(0, 50))
-            k = int(rng.integers(1, 25))
-            rank = scan_rank(items[:k], target)
-            assert rr_at_k(items, target, k) == (1.0 / rank if rank else 0.0)
+            assert target_rank(items, target) == (scan_rank(items, target) or 0)
+            ranked = RankedList(items=items, scores=np.zeros(len(items)))
+            assert target_rank(ranked, target) == target_rank(items, target)
+
+
+class TestReciprocalRank:
+    """MRR@K through `evaluate`, one list at a time and against the scan oracle."""
+
+    def test_rank_four(self):
+        assert evaluate([[9, 8, 7, 6, 5]], [6], ks=(10,)).per_k[10]["mrr"] == 0.25
+
+    def test_just_past_cutoff(self):
+        assert evaluate([[9, 8, 7, 6]], [6], ks=(3,)).per_k[3] == {"recall": 0.0, "mrr": 0.0}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_scan_oracle(self, data):
+        """Random lists (some shorter than K, some without their target) and
+        a repeated K, which `evaluate` reports once."""
+        lists = data.draw(st.lists(st.lists(st.integers(0, 30), unique=True, max_size=12), min_size=1, max_size=8))
+        targets = data.draw(st.lists(st.integers(0, 30), min_size=len(lists), max_size=len(lists)))
+        ks = data.draw(st.lists(st.integers(1, 15), min_size=1, max_size=4))
+        ks.append(ks[0])
+        result = evaluate(lists, targets, ks)
+        assert sorted(result.per_k) == sorted(set(ks)) and result.n_examples == len(lists)
+        for k in ks:
+            ranks = [scan_rank(l[:k], t) for l, t in zip(lists, targets)]
+            assert result.per_k[k]["recall"] == math.fsum(1.0 for r in ranks if r) / len(lists)
+            assert result.per_k[k]["mrr"] == math.fsum(1.0 / r for r in ranks if r) / len(lists)
 
 
 class TestEvaluate:
@@ -97,6 +120,10 @@ class TestEvaluate:
         with pytest.raises(DataError, match="empty test set"):
             evaluate([], [], ks=(20,))
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(DataError, match="k must be >= 1"):
+            evaluate([[1, 2]], [1], ks=(5, 0))
+
 
 class TestReport:
     def test_json_shape(self):
@@ -106,6 +133,10 @@ class TestReport:
             "K": {"20": {"recall": 0.5, "mrr": 0.25}, "100": {"recall": 0.8, "mrr": 0.3}},
             "n_examples": 10,
         }
+
+    def test_json_keeps_every_per_k_field(self):
+        result = EvalResult(per_k={5: {"recall": 0.5, "mrr": 0.25, "mrr_before": 0.125}}, n_examples=2)
+        assert result.to_json_dict()["K"] == {"5": {"recall": 0.5, "mrr": 0.25, "mrr_before": 0.125}}
 
     def test_text_is_aligned(self):
         result = EvalResult(per_k={20: {"recall": 0.5, "mrr": 0.25}}, n_examples=3)
