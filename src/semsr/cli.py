@@ -21,7 +21,7 @@ from .embeddings import SemanticItemTable, load_semantic_table, pseudo_semantic_
 from .errors import DataError, SemsrError
 from .llm import HttpClient, MockClient, build_fewshot_strategy, build_title_index, load_templates, recommend_via_llm
 from .metrics import EvalResult, evaluate, recall_at_k
-from .model import VARIANTS, Scorer, init_model, load_checkpoint, save_checkpoint, scorer
+from .model import Scorer, init_model, load_checkpoint, save_checkpoint, scorer
 from .retrieval import read_candidates, rerank, write_candidates
 from .train import TrainingDiverged, fit
 
@@ -29,22 +29,19 @@ from .train import TrainingDiverged, fit
 def _require(path, what: str) -> Path:
     if path is None:
         raise DataError(f"{what} is not configured")
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"{what} not found: {p}")
-    return p
+    return Path(path)
 
 
-def _load_data_dir(cfg: RunConfig):
+def _load_data_dir(cfg: RunConfig, *names: str):
+    """The catalog and the named splits, in order; no other file is opened."""
     data_dir = _require(cfg.data_dir, "data_dir")
     catalog = ds.load_catalog(data_dir / "catalog.json")
-    splits = {name: ds.load_sessions(data_dir / f"{name}.jsonl", split=name, n=catalog.n) for name in ds.SPLITS}
-    return catalog, splits
+    return catalog, {name: ds.load_sessions(data_dir / f"{name}.jsonl", split=name, n=catalog.n) for name in names}
 
 
 def _semantic_table(cfg: RunConfig, catalog, d2: int) -> SemanticItemTable:
     if cfg.semantic_path:
-        return load_semantic_table(_require(cfg.semantic_path, "semantic_path"), catalog)
+        return load_semantic_table(cfg.semantic_path, catalog)
     return pseudo_semantic_table(catalog, d2)
 
 
@@ -64,11 +61,11 @@ def _checkpoint_scorer(cfg: RunConfig, path: Path, params, catalog) -> Scorer:
         raise DataError(f"{path / 'manifest.json'}: {exc}, from {_semantic_source(cfg)}") from None
 
 
-def _test_set(cfg: RunConfig):
-    """The catalog, the splits, the test examples and the configured Ks
-    clamped to the catalog size (repeats dropped); an empty test split is an
-    error."""
-    catalog, splits = _load_data_dir(cfg)
+def _test_set(cfg: RunConfig, *names: str):
+    """The catalog, the named splits and the test split, the test examples
+    and the configured Ks clamped to the catalog size (repeats dropped); an
+    empty test split is an error."""
+    catalog, splits = _load_data_dir(cfg, *names, "test")
     examples = ds.expand_incremental(splits["test"])
     if not examples:
         raise DataError("empty test split")
@@ -111,9 +108,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    catalog, splits = _load_data_dir(cfg)
+    catalog, splits = _load_data_dir(cfg, "train", "val")
     train_examples = ds.expand_incremental(splits["train"])
-    val_examples = ds.expand_incremental(splits["val"]) if splits["val"] else []
+    val_examples = ds.expand_incremental(splits["val"])
 
     semantic = _semantic_table(cfg, catalog, cfg.d2) if cfg.variant != "base" else None
     d2 = semantic.d2 if semantic is not None else cfg.d2
@@ -192,7 +189,7 @@ def cmd_rerank(cfg: RunConfig) -> int:
 
 
 def cmd_prompt(cfg: RunConfig) -> int:
-    catalog, splits, examples, ks = _test_set(cfg)
+    catalog, splits, examples, ks = _test_set(cfg, "train")
     strategy = build_fewshot_strategy(cfg.strategy, splits["train"], catalog, cfg.shots, cfg.seed)
     if cfg.mock_responses:
         client = MockClient.from_file(cfg.mock_responses, default=cfg.mock_default)
@@ -232,8 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run config file (key = value lines)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--variant", choices=VARIANTS)
+        p.add_argument("--seed")
+        p.add_argument("--variant")
         p.add_argument("--k", dest="ks", help="comma-separated cutoffs, e.g. 20,100")
         p.add_argument("--out", dest="out_dir")
         if name == "ingest":
@@ -246,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ranker-checkpoint", dest="ranker_checkpoint")
         if name == "prompt":
             p.add_argument("--strategy")
-            p.add_argument("--threads", type=int)
+            p.add_argument("--threads")
     return parser
 
 

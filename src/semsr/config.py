@@ -2,9 +2,10 @@
 
 Lines starting with # and blank lines are ignored, and so is a # that
 follows whitespace together with the rest of its line. Values are coerced
-by field type; list fields (ks, ratios) are comma-separated. Relative paths
-are resolved against the config file's directory. Unknown keys are
-rejected so typos fail fast.
+by field type; list fields (ks, ratios) are comma-separated. A flag is
+read by the same rule as a config line. Relative paths in the file resolve
+against its directory; those given as flags are kept as given. Unknown
+keys are rejected so typos fail fast.
 """
 
 import dataclasses
@@ -122,7 +123,20 @@ def _coerce(name: str, raw: str):
     return raw
 
 
-def _config_entry(line: str) -> tuple | None:
+def _entry(key: str, text: str) -> tuple | None:
+    """(key, value) for one config value given as text, from a config line
+    or a flag; None for an empty value. An unknown key, a value that does
+    not parse or one outside its field's rule is a DataError."""
+    if key not in _FIELDS:
+        raise DataError(f"unknown config key {key!r}")
+    value = _coerce(key, text)
+    if value is not None:
+        _check_range(key, value)
+        return key, value
+    return None
+
+
+def _config_line(line: str) -> tuple | None:
     """(key, value) for one config line; None for a comment or an empty value."""
     stripped = re.sub(r"\s#.*", "", line).strip()
     if not stripped or stripped.startswith("#"):
@@ -130,36 +144,21 @@ def _config_entry(line: str) -> tuple | None:
     key, eq, raw = stripped.partition("=")
     if not eq:
         raise DataError("expected 'key = value'")
-    key = key.strip().replace("-", "_")
-    if key not in _FIELDS:
-        raise DataError(f"unknown config key {key!r}")
-    value = _coerce(key, raw)
-    if value is None:
-        return None
-    _check_range(key, value)
-    return key, value
+    return _entry(key.strip().replace("-", "_"), raw)
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse a config file and apply overrides (which win). A value out of
-    its field's range is an error naming its config line, or the command
-    line for an override."""
+    """Parse a config file and apply overrides, flag text by key, which win.
+    A relative path from the file resolves against the file's directory; one
+    from an override is kept as given. A bad value is an error naming its
+    config line, or the command line for an override."""
     path = Path(path)
-    values = dict(entry for entry in read_records(path, "config", _config_entry) if entry)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in _FIELDS:
-            raise DataError(f"unknown config override {key!r}")
-        try:
-            values[key] = _coerce(key, value) if isinstance(value, str) else value
-            _check_range(key, values[key])
-        except DataError as exc:
-            raise DataError(f"command line: {exc}") from None
-    cfg = RunConfig(**values)
-    base = path.parent
-    for name in _PATH_FIELDS:
-        value = getattr(cfg, name)
-        if value is not None and not Path(value).is_absolute():
-            setattr(cfg, name, str(base / value))
-    return cfg
+    values = {
+        key: str(path.parent / value) if key in _PATH_FIELDS else value
+        for key, value in filter(None, read_records(path, "config", _config_line))
+    }
+    try:
+        flags = [_entry(key, str(text)) for key, text in (overrides or {}).items()]
+    except DataError as exc:
+        raise DataError(f"command line: {exc}") from None
+    return RunConfig(**{**values, **dict(filter(None, flags))})

@@ -100,9 +100,28 @@ def read_records(path, what: str, parse) -> list:
     return out
 
 
+def write_records(path, records) -> None:
+    """Write each record as one sorted-key JSON object per line, the form
+    `read_records` with `json_object` reads back."""
+    with Path(path).open("w") as fh:
+        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+
+
+def read_text(path, what: str) -> str:
+    """The text of a UTF-8 file; a missing file or bytes that are not UTF-8
+    are a DataError naming the file."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what}: {exc}") from None
+
+
 def json_object(line: str) -> dict:
-    """The JSON object on one line; invalid JSON (a too-long integer
-    included) or any other JSON value is a DataError."""
+    """The JSON object in one line or document; invalid JSON (a too-long
+    integer included) or any other JSON value is a DataError."""
     try:
         rec = json.loads(line)
     except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
@@ -117,6 +136,17 @@ def write_json(path, payload) -> None:
     sorted keys, two-space indent and one trailing newline, so equal
     payloads give equal bytes."""
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object a whole UTF-8 file holds; a missing file, bytes that
+    are not UTF-8, invalid JSON or another JSON value is a DataError naming
+    the file."""
+    text = read_text(path, what)
+    try:
+        return json_object(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {what}: {exc}") from None
 
 
 def _required(rec: dict, key: str):
@@ -312,10 +342,7 @@ def dataset_manifest(catalog: Catalog, splits: dict[str, list[Session]], seed: i
 
 
 def save_catalog(path, catalog: Catalog) -> None:
-    with Path(path).open("w") as fh:
-        for meta in catalog.items:
-            rec = {k: v for k, v in vars(meta).items() if v is not None}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_records(path, ({k: v for k, v in vars(meta).items() if v is not None} for meta in catalog.items))
 
 
 _ITEM_KEYS = frozenset(f.name for f in fields(ItemMeta))
@@ -346,10 +373,7 @@ def load_catalog(path) -> Catalog:
 
 
 def save_sessions(path, sessions: list[Session]) -> None:
-    with Path(path).open("w") as fh:
-        for s in sessions:
-            rec = {"session_id": s.id, "user_id": s.user_id, "items": s.items, "split": s.split}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_records(path, ({"session_id": s.id, "user_id": s.user_id, "items": s.items, "split": s.split} for s in sessions))
 
 
 def load_sessions(path, n: int, split: str | None = None) -> list[Session]:

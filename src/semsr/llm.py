@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Catalog, Session
+from .dataset import Catalog, Session, read_json, read_text
 from .embeddings import encode_text
 from .errors import DataError, GenerationError
 from .retrieval import RankedList, VectorIndex, build_index, query
@@ -63,13 +63,7 @@ class PromptStrategy:
 
 def load_templates(directory=None) -> dict[str, str]:
     base = Path(directory) if directory else Path(__file__).parent / "templates"
-    out = {}
-    for key, fname in _TEMPLATE_FILES.items():
-        path = base / fname
-        if not path.exists():
-            raise DataError(f"prompt template not found: {path}")
-        out[key] = path.read_text()
-    return out
+    return {key: read_text(base / fname, "prompt template") for key, fname in _TEMPLATE_FILES.items()}
 
 
 def _session_block(titles: list[str]) -> str:
@@ -129,14 +123,8 @@ class MockClient:
 
     @classmethod
     def from_file(cls, path, default: str | None = None) -> "MockClient":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"mock response file not found: {path}")
-        try:
-            responses = json.loads(path.read_text())
-        except ValueError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from None
-        if not isinstance(responses, dict) or not all(isinstance(v, str) for v in responses.values()):
+        responses = read_json(path, "mock response file")
+        if not all(isinstance(v, str) for v in responses.values()):
             raise DataError(f"{path}: expected a JSON object mapping prompt hashes to response text")
         return cls(responses, default=default)
 

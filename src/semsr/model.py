@@ -19,7 +19,6 @@ its rank as u64 LE, then `embeddings.f32_bytes` of the tensor: dims as
 u64 LE, then float32 LE values row-major.
 """
 
-import json
 import math
 import shutil
 import struct
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import write_json
+from .dataset import read_json, write_json
 from .embeddings import SemanticItemTable, f32_bytes, fit_projection, read_f32
 from .encoder import BACKBONES, attention_forward, attention_shapes, get_backbone, init_attention_tensors, normalize_rows, softmax
 from .errors import DataError, NumericError
@@ -239,14 +238,7 @@ def save_checkpoint(directory, params: ModelParams) -> None:
 def load_checkpoint(directory) -> ModelParams:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"checkpoint manifest not found: {manifest_path}")
-    try:
-        m = json.loads(manifest_path.read_text())
-    except ValueError as exc:
-        raise DataError(f"{manifest_path}: not valid JSON ({exc})") from None
-    if not isinstance(m, dict):
-        raise DataError(f"{manifest_path}: not a JSON object")
+    m = read_json(manifest_path, "checkpoint manifest")
     fields = {}
     own = {"semantic_fingerprint": str} if m.get("variant") == "sem-f" else {}
     for key, typ in {**_MANIFEST, **own}.items():

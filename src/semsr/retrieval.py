@@ -5,14 +5,12 @@ Candidate lists travel between commands as JSON-lines, one test example
 per line: {"example": <int>, "items": [<int>...], "scores": [<float>...]}.
 """
 
-import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import json_object, read_records
+from .dataset import json_object, read_records, write_records
 from .errors import DataError
 
 
@@ -114,10 +112,8 @@ def rerank(candidates: RankedList, ranker_scores: np.ndarray, k: int) -> RankedL
 
 
 def write_candidates(path, ranked_lists: list[RankedList]) -> None:
-    with Path(path).open("w") as fh:
-        for i, rl in enumerate(ranked_lists):
-            rec = {"example": i, "items": rl.items.tolist(), "scores": rl.scores.tolist()}
-            fh.write(json.dumps(rec) + "\n")
+    write_records(path, ({"example": i, "items": rl.items.tolist(), "scores": rl.scores.tolist()}
+                         for i, rl in enumerate(ranked_lists)))
 
 
 def _nonneg_int(x) -> bool:

@@ -51,6 +51,17 @@ class TestConfig:
         cfg = load_config(f)
         assert cfg.data_dir == str(tmp_path / "data")
 
+    def test_relative_flag_path_is_kept_as_given(self, tmp_path):
+        """A relative path in the file resolves against the file's directory;
+        the same value given as a flag is left to the working directory."""
+        f = tmp_path / "conf" / "run.cfg"
+        f.parent.mkdir()
+        f.write_text("checkpoint = runs/x/checkpoint\nout_dir = out\n")
+        cfg = load_config(f)
+        assert (cfg.checkpoint, cfg.out_dir) == (str(f.parent / "runs/x/checkpoint"), str(f.parent / "out"))
+        cfg = load_config(f, overrides={"checkpoint": "runs/x/checkpoint", "out_dir": "out"})
+        assert (cfg.checkpoint, cfg.out_dir) == ("runs/x/checkpoint", "out")
+
     def test_readme_example_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("```ini\n# run.cfg\n", 1)[1].split("```", 1)[0]
@@ -244,6 +255,14 @@ class TestTrainEvalCommands:
 
     def test_eval_without_checkpoint_is_exit_2(self, workspace):
         assert main(["eval", "--config", str(workspace / "run.cfg")]) == 2
+
+    def test_relative_flag_paths_resolve_against_the_working_directory(self, workspace, monkeypatch):
+        cfg = str(workspace / "run.cfg")
+        assert main(["train", "--config", cfg, "--variant", "base", "--out", str(workspace / "base")]) == 0
+        (workspace / "cwd").mkdir()
+        monkeypatch.chdir(workspace / "cwd")
+        assert main(["eval", "--config", cfg, "--checkpoint", "../base/checkpoint", "--out", "ev"]) == 0
+        assert (workspace / "cwd" / "ev" / "report.json").exists() and not (workspace / "ev").exists()
 
     def test_eval_with_manifest_key_missing_is_exit_2(self, workspace, capsys):
         cfg = str(workspace / "run.cfg")
@@ -454,6 +473,21 @@ class TestRerankCommand:
             assert report["K"][k].keys() == row.keys() | {"mrr_before"}
             assert report["K"][k]["mrr_before"] == row["mrr"]
 
+    def test_eval_and_rerank_read_only_the_catalog_and_the_test_split(self, workspace):
+        candidates = rerank_inputs(workspace)
+        checkpoint = str(workspace / "cand" / "checkpoint")
+        reports = []
+        for run in ("with", "without"):
+            if run == "without":
+                (workspace / "data" / "train.jsonl").unlink()
+                (workspace / "data" / "val.jsonl").unlink()
+            assert main(["eval", "--config", str(workspace / "run.cfg"), "--checkpoint", checkpoint,
+                         "--out", str(workspace / f"eval-{run}")]) == 0
+            assert run_rerank(workspace, candidates, f"rerank-{run}") == 0
+            reports.append([(workspace / f"{cmd}-{run}" / name).read_bytes()
+                            for cmd, name in (("eval", "report.json"), ("rerank", "rerank_report.json"))])
+        assert reports[0] == reports[1]
+
     def test_report_is_byte_identical_across_runs(self, workspace):
         candidates = rerank_inputs(workspace, "sem-f")
         assert run_rerank(workspace, candidates, "r1") == 0
@@ -559,6 +593,12 @@ class TestExitCodes:
         cfg.write_text("variant = base\n")
         assert main(["prompt", "--config", str(cfg), "--strategy", "foo"]) == 2
         assert capsys.readouterr().err.startswith("error: command line: unknown strategy 'foo'")
+
+    def test_unknown_variant_flag_is_exit_2_naming_the_command_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = base\n")
+        assert main(["train", "--config", str(cfg), "--variant", "fancy"]) == 2
+        assert capsys.readouterr().err == "error: command line: unknown variant 'fancy'\n"
 
     def test_threads_is_a_prompt_flag_only(self):
         with pytest.raises(SystemExit) as info:

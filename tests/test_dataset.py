@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from collections import Counter
 
@@ -17,11 +18,13 @@ from semsr.dataset import (
     load_metadata,
     load_sessions,
     preprocess,
+    read_json,
     read_records,
     save_catalog,
     save_sessions,
     split_by_user,
     write_json,
+    write_records,
 )
 from semsr.errors import DataError
 
@@ -284,6 +287,24 @@ class TestPersistence:
             '{\n  "a": {\n    "x": true,\n    "y": "t"\n  },\n'
             '  "b": [\n    1,\n    {\n      "a": null,\n      "z": 0.5\n    }\n  ]\n}\n'
         )
+
+    def test_write_records_is_one_sorted_object_per_line(self, tmp_path):
+        write_records(tmp_path / "out.jsonl", [{"b": 1, "a": [2, 0.5]}, {"z": None, "c": "t"}])
+        assert (tmp_path / "out.jsonl").read_text() == '{"a": [2, 0.5], "b": 1}\n{"c": "t", "z": null}\n'
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "thing not found"), (b'{"a": "\xff"}', "thing: 'utf-8' codec"),
+         (b'{"a": 1', "thing: invalid JSON"), (b"[1, 2]\n", "thing: record is not a JSON object")],
+        ids=["missing", "not-utf8", "invalid", "list"],
+    )
+    def test_read_json_fault_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match=re.escape(str(path))) as info:
+            read_json(path, "thing")
+        assert message in str(info.value)
 
     def test_sessions_roundtrip(self, tmp_path):
         sessions = [Session(id="a", items=[0, 1, 2], user_id="u", split="train")]

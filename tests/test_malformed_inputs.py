@@ -11,6 +11,7 @@ import io
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semsr import dataset as ds
+from semsr import llm
 from semsr.cli import main
 from semsr.embeddings import f32_bytes, pseudo_semantic_table, save_semantic_binary, save_semantic_tsv
 from semsr.errors import DataError
@@ -90,8 +92,8 @@ INPUTS = {
     "sessions.jsonl": ("ingest", SESSION_EDITS),
     "items.jsonl": ("ingest", ITEM_EDITS),
     "data/catalog.json": ("eval", ITEM_EDITS + [put("colour", "red")]),
-    "data/train.jsonl": ("eval", SPLIT_EDITS),
-    "data/val.jsonl": ("eval", SPLIT_EDITS),
+    "data/train.jsonl": ("train", SPLIT_EDITS),
+    "data/val.jsonl": ("train", SPLIT_EDITS),
     "data/test.jsonl": ("eval", SPLIT_EDITS),
     "cands.jsonl": ("rerank", CANDIDATE_EDITS),
     "sem.tsv": ("train", TSV_EDITS),
@@ -173,7 +175,7 @@ def test_split_record_naming_another_split_is_exit_2_naming_its_line(workspace, 
     lines[-1] = json.dumps({**json.loads(lines[-1]), "split": split})
     path.write_text("\n".join(lines) + "\n")
     try:
-        code, err = run(command(workspace, "eval"))
+        code, err = run(command(workspace, INPUTS[f"data/{name}.jsonl"][0]))
     finally:
         path.write_text(original)
     assert_exit_2_naming(code, err, f"{path}:{len(lines)}: session: ")
@@ -272,6 +274,18 @@ def test_non_finite_or_negative_config_value_is_exit_2_naming_its_line(tmp_path,
     code, err = run(["ingest", "--config", str(cfg), "--data-dir", str(tmp_path / "data")] + (line.split() if flag else []))
     assert_exit_2_naming(code, err, "command line: " if flag else f"{cfg}:{BASE_CFG.count(chr(10)) + 1}: ")
     assert not (tmp_path / "data").exists()
+
+
+def test_template_that_is_not_utf8_is_exit_2_naming_it(workspace, tmp_path):
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(llm.__file__).parent / "templates", templates)
+    (templates / "system.txt").write_bytes(b"\xff\xfe" + (templates / "system.txt").read_bytes())
+    (tmp_path / "mock.json").write_text("{}")
+    cfg = workspace / "tpl.cfg"
+    cfg.write_text(BASE_CFG + f"templates_dir = {templates}\nmock_responses = {tmp_path / 'mock.json'}\n"
+                   "mock_default = thing number 1\n")
+    code, err = run(["prompt", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert_exit_2_naming(code, err, templates / "system.txt")
 
 
 def test_sem_i_start_row_of_zero_is_exit_2_naming_the_semantic_source(workspace):
