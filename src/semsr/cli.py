@@ -81,6 +81,17 @@ def _write_report(cfg: RunConfig, name: str, result: EvalResult, **extra) -> Pat
     return out / name
 
 
+def _dump_candidates(cfg: RunConfig, ranked) -> None:
+    """Write the ranked lists to `dump_candidates`, when it is set, creating
+    its directory. Commands call it before writing their report, so a dump
+    that fails leaves no report behind."""
+    if cfg.dump_candidates:
+        path = Path(cfg.dump_candidates)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_candidates(path, ranked)
+        print(f"candidates: {cfg.dump_candidates}")
+
+
 def cmd_ingest(cfg: RunConfig) -> int:
     sessions = ds.ingest_sessions(_require(cfg.sessions_path, "sessions_path"))
     metadata = ds.load_metadata(_require(cfg.metadata_path, "metadata_path"))
@@ -148,10 +159,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     catalog, _, examples, ks = _test_set(cfg)
     ranked = _checkpoint_scorer(cfg, path, params, catalog).rank(examples, max(ks))
     result = evaluate(ranked, [ex.target for ex in examples], ks)
+    _dump_candidates(cfg, ranked)
     report = _write_report(cfg, "report.json", result, variant=params.variant)
-    if cfg.dump_candidates:
-        write_candidates(cfg.dump_candidates, ranked)
-        print(f"candidates: {cfg.dump_candidates}")
     print(result.render_text())
     print(f"report: {report}")
     return 0
@@ -207,6 +216,7 @@ def cmd_prompt(cfg: RunConfig) -> int:
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         ranked = list(pool.map(run_one, examples))  # in example order for any thread count
     result = evaluate(ranked, [ex.target for ex in examples], ks)
+    _dump_candidates(cfg, ranked)
     report = _write_report(cfg, f"prompt_report_{cfg.strategy}.json", result, strategy=cfg.strategy)
     print(f"strategy: {cfg.strategy}")
     print(result.render_text())
@@ -237,6 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data-dir", dest="data_dir")
         if name == "eval":
             p.add_argument("--checkpoint")
+        if name in ("eval", "prompt"):
             p.add_argument("--dump-candidates", dest="dump_candidates")
         if name == "rerank":
             p.add_argument("--candidates")

@@ -212,9 +212,19 @@ def build_fewshot_strategy(
 
 def build_title_index(catalog: Catalog, width: int, encoder=None) -> VectorIndex:
     """Cosine index over item titles, embedded with the same encoder that
-    will embed generated titles at query time."""
+    will embed generated titles at query time. Titles fill one array at the
+    first title's width, which build_index normalizes in place; a title of
+    another width is a DataError naming its item."""
     encoder = encoder or partial(encode_text, d2=width)
-    return build_index(np.stack([encoder(m.title) for m in catalog.items]))
+    table = None
+    for i, m in enumerate(catalog.items):
+        row = np.asarray(encoder(m.title))
+        if table is None:
+            table = np.empty((catalog.n, *row.shape))
+        if row.shape != table.shape[1:]:
+            raise DataError(f"title embedding of item {i} has shape {row.shape}, expected {table.shape[1:]}")
+        table[i] = row
+    return build_index(table)
 
 
 def recommend_via_llm(

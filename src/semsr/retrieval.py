@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import json_object, read_records, write_records
+from .encoder import row_blocks
 from .errors import DataError
 
 
@@ -49,17 +50,25 @@ class VectorIndex:
 
 
 def build_index(table: np.ndarray) -> VectorIndex:
-    """Normalize rows into a cosine index. Zero rows are rejected."""
-    table = np.asarray(table, dtype=np.float64)
+    """Normalize rows into a cosine index. Zero rows are rejected.
+
+    The index owns `table`: a float64 C-contiguous input is normalized in
+    place, per row_blocks slice with np.linalg.norm's arithmetic (bitwise
+    `table / norms`), and becomes the index's matrix; any other input is
+    converted to such an array first."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] < 1:
         raise DataError("index table must be a non-empty 2-d matrix")
-    if not np.all(np.isfinite(table)):
-        raise DataError("index table contains non-finite values")
-    norms = np.linalg.norm(table, axis=1)
-    zero = np.nonzero(norms == 0)[0]
-    if zero.size:
-        raise DataError(f"zero-norm row for item {int(zero[0])}")
-    return VectorIndex(matrix=table / norms[:, None])
+    for b in row_blocks(*table.shape):
+        r = table[b]
+        if not np.all(np.isfinite(r)):
+            raise DataError("index table contains non-finite values")
+        norms = np.sqrt(np.add.reduce(r * r, axis=1))
+        zero = np.flatnonzero(norms == 0)
+        if zero.size:
+            raise DataError(f"zero-norm row for item {b.start + int(zero[0])}")
+        r /= norms[:, None]
+    return VectorIndex(matrix=table)
 
 
 def top_k(scores: np.ndarray, k: int) -> RankedList:

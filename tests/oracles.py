@@ -122,6 +122,13 @@ def normalize_rows_one_pass(rows: np.ndarray):
     return rows / norms, norms
 
 
+def index_one_pass(rows) -> np.ndarray:
+    """retrieval.build_index's matrix from its rows the one-pass way: stack
+    them, then divide by np.linalg.norm along each row."""
+    table = np.stack(rows)
+    return table / np.linalg.norm(table, axis=1)[:, None]
+
+
 def normalize_rows_backward_one_pass(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
     """encoder.normalize_rows_backward over the whole array at once."""
     return (d_unit - unit * np.sum(unit * d_unit, axis=-1, keepdims=True)) / norms

@@ -529,21 +529,26 @@ class TestRerankCommand:
         assert str(candidates) in err and "Traceback" not in err
 
 
+def write_title_mock(workspace, every=1):
+    """mock.json mapping the fs prompt of every `every`-th test example to
+    its target's title, the way `prompt` will build it at seed 7."""
+    data = workspace / "data"
+    catalog = ds.load_catalog(data / "catalog.json")
+    train = ds.load_sessions(data / "train.jsonl", catalog.n, split="train")
+    test = ds.load_sessions(data / "test.jsonl", catalog.n, split="test")
+    strategy = build_fewshot_strategy("fs", train, catalog, n_shots=3, seed=7)
+    templates = load_templates()
+    mapping = {}
+    for ex in ds.expand_incremental(test)[::every]:
+        titles = [catalog.title(i) for i in ex.prefix]
+        system, user = build_prompt(strategy, titles, templates=templates)
+        mapping[prompt_hash(system, user)] = catalog.title(ex.target)
+    (workspace / "mock.json").write_text(json.dumps(mapping))
+
+
 class TestPromptCommand:
     def test_prompt_with_exact_title_mock(self, workspace):
-        data = workspace / "data"
-        catalog = ds.load_catalog(data / "catalog.json")
-        train = ds.load_sessions(data / "train.jsonl", catalog.n, split="train")
-        test = ds.load_sessions(data / "test.jsonl", catalog.n, split="test")
-        examples = ds.expand_incremental(test)
-        strategy = build_fewshot_strategy("fs", train, catalog, n_shots=3, seed=7)
-        templates = load_templates()
-        mapping = {}
-        for ex in examples:
-            titles = [catalog.title(i) for i in ex.prefix]
-            system, user = build_prompt(strategy, titles, templates=templates)
-            mapping[prompt_hash(system, user)] = catalog.title(ex.target)
-        (workspace / "mock.json").write_text(json.dumps(mapping))
+        write_title_mock(workspace)
         cfg = workspace / "run.cfg"
         cfg.write_text(BASE_CFG + "mock_responses = mock.json\nstrategy = fs\n")
         reports = []
@@ -556,6 +561,23 @@ class TestPromptCommand:
         assert report["strategy"] == "fs"
         assert report["K"]["5"]["recall"] == 1.0
         assert report["K"]["5"]["mrr"] == 1.0
+
+    def test_prompt_candidates_rerank_with_their_recall(self, workspace):
+        """LLM retrieval, then a trained ranker: `rerank` over the lists that
+        `prompt --dump-candidates` wrote keeps the prompt report's Recall."""
+        write_title_mock(workspace, every=2)
+        cfg = workspace / "run.cfg"
+        cfg.write_text(BASE_CFG + "mock_responses = mock.json\nmock_default = thing number 3\nstrategy = fs\n")
+        candidates = workspace / "prompt" / "candidates.jsonl"
+        assert main(["prompt", "--config", str(cfg), "--out", str(workspace / "prompt"),
+                     "--dump-candidates", str(candidates)]) == 0
+        assert main(["train", "--config", str(cfg), "--variant", "base", "--out", str(workspace / "ranker")]) == 0
+        assert run_rerank(workspace, candidates) == 0
+        prompt_report = json.loads((workspace / "prompt" / "prompt_report_fs.json").read_text())
+        rerank_report = json.loads((workspace / "rerank" / "rerank_report.json").read_text())
+        for k in ("5", "10"):
+            assert 0 < rerank_report["K"][k]["recall"] == prompt_report["K"][k]["recall"] < 1
+            assert rerank_report["K"][k]["mrr_before"] == prompt_report["K"][k]["mrr"]
 
     def test_prompt_without_client_is_exit_2(self, workspace):
         assert main(["prompt", "--config", str(workspace / "run.cfg")]) == 2

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import make_catalog, serving
+from oracles import index_one_pass
+from semsr import dataset as ds
 from semsr.dataset import Session
 from semsr.embeddings import encode_text
 from semsr.errors import DataError, GenerationError
@@ -17,6 +21,7 @@ from semsr.llm import (
     recommend_via_llm,
 )
 from semsr.retrieval import query
+from test_cli import write_fixture_dataset
 
 SHOTS = [(["red mug", "blue mug"], "mug rack"), (["tent", "sleeping bag"], "camping stove")]
 
@@ -235,3 +240,41 @@ class TestTitleIndex:
             result = query(index, encode_text(catalog.title(j), 24), k=1)
             assert result.items[0] == j
             assert abs(result.scores[0] - 1.0) < 1e-6
+
+    def test_equals_the_one_pass_oracle_bitwise_on_the_cli_fixture(self, tmp_path):
+        write_fixture_dataset(tmp_path)
+        catalog, _ = ds.preprocess(ds.ingest_sessions(tmp_path / "sessions.jsonl"),
+                                   ds.load_metadata(tmp_path / "items.jsonl"), 2, 2)
+        expected = index_one_pass([encode_text(m.title, 12) for m in catalog.items])
+        assert build_title_index(catalog, 12).matrix.tobytes() == expected.tobytes()
+
+    def test_zero_title_vector_past_the_first_block_names_its_item(self):
+        catalog = make_catalog(400)  # width 300 gives row blocks of 109 rows
+
+        def encoder(title):
+            return np.zeros(300) if title == catalog.title(250) else encode_text(title, 300)
+
+        with pytest.raises(DataError, match="zero-norm row for item 250$"):
+            build_title_index(catalog, 300, encoder)
+
+    def test_title_of_another_width_names_its_item(self):
+        catalog = make_catalog(12)
+
+        def encoder(title):
+            return encode_text(title, 9 if title == catalog.title(7) else 8)
+
+        with pytest.raises(DataError, match=r"item 7 has shape \(9,\), expected \(8,\)"):
+            build_title_index(catalog, 8, encoder)
+
+    def test_build_holds_the_index_about_once(self):
+        """Peak traced memory of the build stays near the index's own bytes:
+        no per-title list, stack or normalized copy beside it."""
+        catalog = make_catalog(4000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = build_title_index(catalog, 256)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * index.matrix.nbytes, peak / index.matrix.nbytes

@@ -301,3 +301,18 @@ def test_sem_i_start_row_of_zero_is_exit_2_naming_the_semantic_source(workspace)
     code, err = run(["train", "--config", str(workspace / "mean-row.cfg"), "--variant", "sem-i", "--out", str(out)])
     assert_exit_2_naming(code, err, path)
     assert "item 3 " in err and not out.exists()
+
+
+def test_dump_candidates_into_a_new_directory_creates_it(workspace, tmp_path):
+    cands = tmp_path / "nodir" / "c.jsonl"
+    code, err = run(command(workspace, "eval")[:-1] + [str(tmp_path / "out"), "--dump-candidates", str(cands)])
+    assert code == 0, err
+    assert cands.read_text() == (workspace / "cands.jsonl").read_text()
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_dump_candidates_that_cannot_be_written_leaves_no_report(workspace, tmp_path):
+    (tmp_path / "cands").mkdir()
+    code, err = run(command(workspace, "eval")[:-1] + [str(tmp_path / "out"), "--dump-candidates", str(tmp_path / "cands")])
+    assert_exit_2_naming(code, err, tmp_path / "cands")
+    assert not (tmp_path / "out" / "report.json").exists()

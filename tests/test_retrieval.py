@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import index_one_pass
 from semsr.errors import DataError
 from semsr.metrics import recall_at_k
 from semsr.retrieval import (
@@ -36,6 +37,32 @@ class TestBuildIndex:
         rows[2] = 0.0
         with pytest.raises(DataError, match="item 2"):
             build_index(rows)
+
+    def test_equals_the_one_pass_oracle_bitwise_across_row_blocks(self):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((3000, 300)) * rng.uniform(0.1, 9, (3000, 1))
+        expected = index_one_pass(list(table))
+        assert build_index(table).matrix.tobytes() == expected.tobytes()
+
+    def test_float64_c_contiguous_table_is_normalized_in_place(self):
+        table = np.random.default_rng(6).standard_normal((50, 7))
+        expected = index_one_pass(list(table))
+        index = build_index(table)
+        assert index.matrix is table
+        assert table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", ["float32", "fortran-order", "strided-view"])
+    def test_any_other_table_is_left_untouched(self, layout):
+        base = np.random.default_rng(7).standard_normal((50, 14))
+        table = {
+            "float32": base.astype(np.float32),
+            "fortran-order": np.asfortranarray(base),
+            "strided-view": base[:, ::2],
+        }[layout]
+        before = table.copy()
+        index = build_index(table)
+        assert np.array_equal(table, before) and not np.shares_memory(index.matrix, table)
+        assert index.matrix.tobytes() == index_one_pass(list(np.asarray(before, dtype=np.float64))).tobytes()
 
 
 class TestQuery:
