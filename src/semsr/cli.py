@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 computation failure, 2 usage or IO error.
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -72,24 +73,18 @@ def _test_set(cfg: RunConfig, *names: str):
     return catalog, splits, examples, tuple(dict.fromkeys(min(k, catalog.n) for k in cfg.ks))
 
 
-def _write_report(cfg: RunConfig, name: str, result: EvalResult, **extra) -> Path:
-    """Write `result` with `extra` and the seed to <out>/<name>, creating
-    the out directory; returns the report's path."""
-    out = Path(cfg.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    ds.write_json(out / name, {**result.to_json_dict(), **extra, "seed": cfg.seed})
-    return out / name
-
-
-def _dump_candidates(cfg: RunConfig, ranked) -> None:
-    """Write the ranked lists to `dump_candidates`, when it is set, creating
-    its directory. Commands call it before writing their report, so a dump
-    that fails leaves no report behind."""
-    if cfg.dump_candidates:
-        path = Path(cfg.dump_candidates)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_candidates(path, ranked)
-        print(f"candidates: {cfg.dump_candidates}")
+def _write_report(cfg: RunConfig, name: str, result: EvalResult, ranked=None, **extra) -> Path:
+    """Write `result` with `extra` and the seed to <out>/<name>, and `ranked`
+    to `dump_candidates` when both are set, in one `write_outputs` call."""
+    report = Path(cfg.out_dir or ".") / name
+    dump = cfg.dump_candidates if ranked is not None else None
+    outputs = {report: partial(ds.write_json, payload={**result.to_json_dict(), **extra, "seed": cfg.seed})}
+    if dump:
+        outputs[Path(dump)] = partial(write_candidates, ranked_lists=ranked)
+    ds.write_outputs(outputs)
+    if dump:
+        print(f"candidates: {dump}")
+    return report
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -100,12 +95,12 @@ def cmd_ingest(cfg: RunConfig) -> int:
     splits = {"train": train, "val": val, "test": test}
 
     out = Path(cfg.data_dir or cfg.out_dir or "data")
-    out.mkdir(parents=True, exist_ok=True)
-    ds.save_catalog(out / "catalog.json", catalog)
-    for name, part in splits.items():
-        ds.save_sessions(out / f"{name}.jsonl", part)
     manifest = ds.dataset_manifest(catalog, splits, cfg.seed)
-    ds.write_json(out / "manifest.json", manifest)
+    ds.write_outputs({
+        out / "catalog.json": partial(ds.save_catalog, catalog=catalog),
+        **{out / f"{name}.jsonl": partial(ds.save_sessions, sessions=part) for name, part in splits.items()},
+        out / "manifest.json": partial(ds.write_json, payload=manifest),
+    })
 
     print(f"items: {manifest['n_items']}")
     print(f"sessions: train={manifest['n_train']} val={manifest['n_val']} test={manifest['n_test']}")
@@ -130,7 +125,6 @@ def cmd_train(cfg: RunConfig) -> int:
     except DataError as exc:  # only the sem-i start from the semantic table raises it
         raise DataError(f"{exc}, from {_semantic_source(cfg)}") from None
     out = Path(cfg.out_dir or "run")
-    out.mkdir(parents=True, exist_ok=True)
     diverged = None
     try:
         best, history = fit(
@@ -140,8 +134,10 @@ def cmd_train(cfg: RunConfig) -> int:
         )
     except TrainingDiverged as exc:
         diverged, best, history = exc, exc.params, exc.history
-    save_checkpoint(out / "checkpoint", best)
-    ds.write_json(out / "history.json", history)
+    ds.write_outputs({
+        out / "checkpoint": partial(save_checkpoint, params=best),
+        out / "history.json": partial(ds.write_json, payload=history),
+    })
     if diverged is not None:
         print(f"error: training diverged ({diverged}); last good checkpoint retained", file=sys.stderr)
         return 1
@@ -159,8 +155,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     catalog, _, examples, ks = _test_set(cfg)
     ranked = _checkpoint_scorer(cfg, path, params, catalog).rank(examples, max(ks))
     result = evaluate(ranked, [ex.target for ex in examples], ks)
-    _dump_candidates(cfg, ranked)
-    report = _write_report(cfg, "report.json", result, variant=params.variant)
+    report = _write_report(cfg, "report.json", result, ranked, variant=params.variant)
     print(result.render_text())
     print(f"report: {report}")
     return 0
@@ -216,8 +211,7 @@ def cmd_prompt(cfg: RunConfig) -> int:
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         ranked = list(pool.map(run_one, examples))  # in example order for any thread count
     result = evaluate(ranked, [ex.target for ex in examples], ks)
-    _dump_candidates(cfg, ranked)
-    report = _write_report(cfg, f"prompt_report_{cfg.strategy}.json", result, strategy=cfg.strategy)
+    report = _write_report(cfg, f"prompt_report_{cfg.strategy}.json", result, ranked, strategy=cfg.strategy)
     print(f"strategy: {cfg.strategy}")
     print(result.render_text())
     print(f"report: {report}")

@@ -9,6 +9,7 @@ Input files are JSON-lines:
 
 import json
 import math
+import shutil
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -136,6 +137,45 @@ def write_json(path, payload) -> None:
     sorted keys, two-space indent and one trailing newline, so equal
     payloads give equal bytes."""
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _remove(path: Path) -> None:
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
+
+
+def write_outputs(writers: dict) -> None:
+    """Write a command's outputs together or not at all. Each writer fills its
+    target's sibling .<name>.new; once all have returned, each staged entry
+    replaces its target, a directory by way of .<name>.old. If a writer
+    raises, or a target exists as the other kind of entry (an OSError naming
+    it), the staged entries and the directories made for them go before any
+    target has changed."""
+    staged, made = {}, []
+    try:
+        for target, write in writers.items():
+            target = Path(target)
+            made += [p for p in target.parents if not p.exists()]
+            target.parent.mkdir(parents=True, exist_ok=True)
+            staged[target] = new = target.with_name(f".{target.name}.new")
+            _remove(new)  # left by an interrupted run
+            write(new)
+        for target, new in staged.items():
+            if target.exists() and target.is_dir() != new.is_dir():
+                raise OSError(f"{target} is {'a directory' if target.is_dir() else 'not a directory'}")
+    except BaseException:
+        for path in [*staged.values(), *made]:
+            _remove(path)
+        raise
+    for target, new in staged.items():
+        old = target.with_name(f".{target.name}.old")
+        _remove(old)
+        if new.is_dir() and target.exists():
+            target.rename(old)
+        new.replace(target)
+        _remove(old)
 
 
 def read_json(path, what: str) -> dict:
@@ -308,19 +348,22 @@ def split_by_user(
     return buckets["train"], buckets["val"], buckets["test"]
 
 
+def _targets(s: Session) -> range:
+    """The target positions of `s`: all but the first in train, else the last."""
+    if s.split not in SPLITS:
+        raise DataError(f"session {s.id} has no split assigned")
+    if len(s.items) < 2:
+        raise DataError(f"session {s.id} shorter than 2 items")
+    return range(1 if s.split == "train" else len(s.items) - 1, len(s.items))
+
+
 def expand_incremental(sessions: list[Session]) -> list[Example]:
     """Expand sessions into (prefix, target) examples.
 
     Training sessions (i1..im) yield all m-1 incremental prefixes; val and
     test sessions yield a single example with the last item as target.
     """
-    for s in sessions:
-        if s.split not in SPLITS:
-            raise DataError(f"session {s.id} has no split assigned")
-        if len(s.items) < 2:
-            raise DataError(f"session {s.id} shorter than 2 items")
-    return [Example(prefix=s.items[:k], target=s.items[k]) for s in sessions
-            for k in range(1 if s.split == "train" else len(s.items) - 1, len(s.items))]
+    return [Example(prefix=s.items[:k], target=s.items[k]) for s in sessions for k in _targets(s)]
 
 
 def dataset_manifest(catalog: Catalog, splits: dict[str, list[Session]], seed: int) -> dict:
@@ -335,9 +378,7 @@ def dataset_manifest(catalog: Catalog, splits: dict[str, list[Session]], seed: i
     for name in SPLITS:
         part = splits.get(name, [])
         manifest[f"n_{name}"] = len(part)
-        manifest[f"n_{name}_examples"] = sum(
-            max(len(s.items) - 1, 0) if name == "train" else 1 for s in part
-        )
+        manifest[f"n_{name}_examples"] = sum(len(_targets(s)) for s in part)
     return manifest
 
 
@@ -376,26 +417,21 @@ def save_sessions(path, sessions: list[Session]) -> None:
     write_records(path, ({"session_id": s.id, "user_id": s.user_id, "items": s.items, "split": s.split} for s in sessions))
 
 
-def load_sessions(path, n: int, split: str | None = None) -> list[Session]:
-    """Read a split file written by save_sessions over a catalog of n items;
-    a session with an item outside 0..n-1, or with a "split" that differs
-    from the file's `split` (or, with no `split` given, is not one of
-    SPLITS), is an error naming its line."""
+def load_sessions(path, n: int, split: str) -> list[Session]:
+    """Read the `split` file written by save_sessions over a catalog of n
+    items; a session with an item outside 0..n-1, or with a "split" that
+    differs from `split`, is an error naming its line."""
 
     def parse(line: str) -> Session:
         rec = json_object(line)
         own = rec.get("split")
-        if split is not None and own not in (None, split):
+        if own not in (None, split):
             raise DataError(f"'split' is {own!r} in a {split} file")
-        if split is None and own not in (None, *SPLITS):
-            raise DataError(f"'split' must be one of {SPLITS}, got {own!r}")
         items = _required(rec, "items")
         if not isinstance(items, list) or len(items) < 2 or any(type(i) is not int for i in items):
             raise DataError("'items' must be a list of at least 2 integers")
         if not 0 <= min(items) <= max(items) < n:
             raise DataError(f"item outside the catalog's 0..{n - 1}")
-        return Session(
-            id=_required(rec, "session_id"), items=items, user_id=rec.get("user_id"), split=split or own
-        )
+        return Session(id=_required(rec, "session_id"), items=items, user_id=rec.get("user_id"), split=split)
 
     return read_records(path, "session", parse)

@@ -91,8 +91,21 @@ def pseudo_encode(item: ItemMeta, d2: int) -> np.ndarray:
 
 
 def pseudo_semantic_table(catalog: Catalog, d2: int) -> SemanticItemTable:
-    matrix = np.stack([pseudo_encode(m, d2) for m in catalog.items])
-    return SemanticItemTable(matrix=matrix)
+    return SemanticItemTable(matrix=_encode_rows(catalog.items, lambda m: pseudo_encode(m, d2)))
+
+
+def _encode_rows(items: list[ItemMeta], encode) -> np.ndarray:
+    """encode(item) of each item, filled into one float64 array at the first
+    row's shape; a row of another shape is a DataError naming its item."""
+    table = None
+    for i, item in enumerate(items):
+        row = np.asarray(encode(item))
+        if table is None:
+            table = np.empty((len(items), *row.shape))
+        if row.shape != table.shape[1:]:
+            raise DataError(f"the embedding of item {i} has shape {row.shape}, expected {table.shape[1:]}")
+        table[i] = row
+    return table
 
 
 def load_semantic_table(path, catalog: Catalog) -> SemanticItemTable:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Catalog, Session, read_json, read_text
-from .embeddings import encode_text
+from .embeddings import _encode_rows, encode_text
 from .errors import DataError, GenerationError
 from .retrieval import RankedList, VectorIndex, build_index, query
 
@@ -216,15 +216,7 @@ def build_title_index(catalog: Catalog, width: int, encoder=None) -> VectorIndex
     first title's width, which build_index normalizes in place; a title of
     another width is a DataError naming its item."""
     encoder = encoder or partial(encode_text, d2=width)
-    table = None
-    for i, m in enumerate(catalog.items):
-        row = np.asarray(encoder(m.title))
-        if table is None:
-            table = np.empty((catalog.n, *row.shape))
-        if row.shape != table.shape[1:]:
-            raise DataError(f"title embedding of item {i} has shape {row.shape}, expected {table.shape[1:]}")
-        table[i] = row
-    return build_index(table)
+    return build_index(_encode_rows(catalog.items, lambda m: encoder(m.title)))
 
 
 def recommend_via_llm(

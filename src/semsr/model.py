@@ -20,14 +20,13 @@ u64 LE, then float32 LE values row-major.
 """
 
 import math
-import shutil
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import read_json, write_json
+from .dataset import read_json, write_json, write_outputs
 from .embeddings import SemanticItemTable, f32_bytes, fit_projection, read_f32
 from .encoder import BACKBONES, attention_forward, attention_shapes, get_backbone, init_attention_tensors, normalize_rows, softmax
 from .errors import DataError, NumericError
@@ -215,24 +214,19 @@ _MANIFEST = {"variant": str, "backbone": str, "d1": int, "d2": int, "d": int, "s
 
 
 def save_checkpoint(directory, params: ModelParams) -> None:
-    """Write the checkpoint into the sibling directory .<name>.new, then
-    rename it into place: a save replaces whatever `directory` held, and a
-    save that fails leaves the previous checkpoint whole."""
-    directory = Path(directory)
-    staging, retired = (directory.with_name(f".{directory.name}.{tag}") for tag in ("new", "old"))
-    for stale in (staging, retired):
-        shutil.rmtree(stale, ignore_errors=True)
-    staging.mkdir(parents=True)
-    manifest = {key: getattr(params, key) for key in _MANIFEST}
-    if params.variant == "sem-f":
-        manifest["semantic_fingerprint"] = params.semantic_fingerprint
-    write_json(staging / "manifest.json", manifest)
-    for name, tensor in params.tensors.items():
-        (staging / f"{name}.bin").write_bytes(struct.pack("<Q", np.ndim(tensor)) + f32_bytes(tensor))
-    if directory.exists():
-        directory.rename(retired)
-    staging.rename(directory)
-    shutil.rmtree(retired, ignore_errors=True)
+    """Write the checkpoint directory through `write_outputs`: a save replaces
+    whatever `directory` held, and a save that fails leaves it whole."""
+
+    def write(staging: Path) -> None:
+        staging.mkdir()
+        manifest = {key: getattr(params, key) for key in _MANIFEST}
+        if params.variant == "sem-f":
+            manifest["semantic_fingerprint"] = params.semantic_fingerprint
+        write_json(staging / "manifest.json", manifest)
+        for name, tensor in params.tensors.items():
+            (staging / f"{name}.bin").write_bytes(struct.pack("<Q", np.ndim(tensor)) + f32_bytes(tensor))
+
+    write_outputs({directory: write})
 
 
 def load_checkpoint(directory) -> ModelParams:

@@ -19,6 +19,12 @@ def make_catalog(n: int, tag: str = "t") -> Catalog:
     return Catalog(items=items)
 
 
+def tree(root) -> dict:
+    """Every entry under `root`, dot-prefixed ones included: a file's bytes,
+    or None for a directory."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 def make_semantic(catalog: Catalog, d2: int) -> SemanticItemTable:
     return pseudo_semantic_table(catalog, d2)
 

@@ -180,7 +180,7 @@ class TestIngestCommand:
         n = manifest["n_items"]
         sessions = []
         for name in ("train", "val", "test"):
-            sessions += ds.load_sessions(workspace / "data" / f"{name}.jsonl", n)
+            sessions += ds.load_sessions(workspace / "data" / f"{name}.jsonl", n, split=name)
         # counting oracle over the written splits
         assert manifest["avg_session_len"] == pytest.approx(
             sum(len(s.items) for s in sessions) / len(sessions)
@@ -236,6 +236,7 @@ class TestTrainEvalCommands:
         for row in report["K"].values():
             assert 0.0 <= row["mrr"] <= row["recall"] <= 1.0
         assert (workspace / "eval" / "candidates.jsonl").exists()
+        assert not [p for p in workspace.rglob(".*") if p.suffix in (".new", ".old")]
 
     def test_training_is_deterministic(self, workspace):
         cfg = str(workspace / "run.cfg")

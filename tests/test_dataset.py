@@ -2,12 +2,14 @@ import json
 import re
 import warnings
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import tree
 from semsr.dataset import (
     RawSession,
     Session,
@@ -24,6 +26,7 @@ from semsr.dataset import (
     save_sessions,
     split_by_user,
     write_json,
+    write_outputs,
     write_records,
 )
 from semsr.errors import DataError
@@ -288,6 +291,32 @@ class TestPersistence:
             '  "b": [\n    1,\n    {\n      "a": null,\n      "z": 0.5\n    }\n  ]\n}\n'
         )
 
+    def test_write_outputs_changes_nothing_when_a_writer_raises(self, tmp_path):
+        """A file and a directory already staged, then a writer that fails
+        under a parent it needed made: every target is as it was, and no
+        staged entry or made directory is left."""
+        write_json(tmp_path / "report.json", {"old": 1})
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "ckpt" / "w.bin").write_bytes(b"old")
+        before = tree(tmp_path)
+
+        def checkpoint(path):
+            path.mkdir()
+            (path / "w.bin").write_bytes(b"new")
+
+        def failing(path):
+            path.write_text("half")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_outputs({
+                tmp_path / "report.json": partial(write_json, payload={"new": 1}),
+                tmp_path / "ckpt": checkpoint,
+                tmp_path / "made" / "deep" / "cands.jsonl": failing,
+            })
+        assert tree(tmp_path) == before
+        assert not list(tmp_path.rglob(".*"))
+
     def test_write_records_is_one_sorted_object_per_line(self, tmp_path):
         write_records(tmp_path / "out.jsonl", [{"b": 1, "a": [2, 0.5]}, {"z": None, "c": "t"}])
         assert (tmp_path / "out.jsonl").read_text() == '{"a": [2, 0.5], "b": 1}\n{"c": "t", "z": null}\n'
@@ -309,7 +338,7 @@ class TestPersistence:
     def test_sessions_roundtrip(self, tmp_path):
         sessions = [Session(id="a", items=[0, 1, 2], user_id="u", split="train")]
         save_sessions(tmp_path / "train.jsonl", sessions)
-        back = load_sessions(tmp_path / "train.jsonl", 3)
+        back = load_sessions(tmp_path / "train.jsonl", 3, split="train")
         assert back == sessions
 
     @pytest.mark.parametrize("items", ["12", [1.9, True], [3]], ids=["string", "float-and-bool", "one-item"])
@@ -317,7 +346,7 @@ class TestPersistence:
         f = tmp_path / "train.jsonl"
         write_jsonl(f, [{"session_id": "a", "items": [0, 1]}, {"session_id": "b", "items": items}])
         with pytest.raises(DataError, match="train.jsonl:2: .*'items'"):
-            load_sessions(f, 4)
+            load_sessions(f, 4, split="train")
 
     def test_manifest_counts(self):
         splits = {

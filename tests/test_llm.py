@@ -7,7 +7,7 @@ from helpers import make_catalog, serving
 from oracles import index_one_pass
 from semsr import dataset as ds
 from semsr.dataset import Session
-from semsr.embeddings import encode_text
+from semsr.embeddings import encode_text, pseudo_semantic_table
 from semsr.errors import DataError, GenerationError
 from semsr.llm import (
     HttpClient,
@@ -268,13 +268,15 @@ class TestTitleIndex:
 
     def test_build_holds_the_index_about_once(self):
         """Peak traced memory of the build stays near the index's own bytes:
-        no per-title list, stack or normalized copy beside it."""
+        no per-title list, stack or normalized copy beside it. The pseudo
+        semantic table fills its rows through the same loop."""
         catalog = make_catalog(4000)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            index = build_title_index(catalog, 256)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * index.matrix.nbytes, peak / index.matrix.nbytes
+        for build in (lambda: build_title_index(catalog, 256).matrix, lambda: pseudo_semantic_table(catalog, 256).matrix):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                matrix = build()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * matrix.nbytes, peak / matrix.nbytes

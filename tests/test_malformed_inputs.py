@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import tree
 from semsr import dataset as ds
 from semsr import llm
 from semsr.cli import main
 from semsr.embeddings import f32_bytes, pseudo_semantic_table, save_semantic_binary, save_semantic_tsv
-from semsr.errors import DataError
 from test_cli import BASE_CFG, write_fixture_dataset
 
 
@@ -181,14 +181,6 @@ def test_split_record_naming_another_split_is_exit_2_naming_its_line(workspace, 
     assert_exit_2_naming(code, err, f"{path}:{len(lines)}: session: ")
 
 
-def test_split_outside_splits_is_an_error_when_no_file_split_is_given(tmp_path):
-    path = tmp_path / "sessions.jsonl"
-    recs = [{"session_id": "a", "items": [0, 1], "split": "val"}, {"session_id": "b", "items": [0, 1], "split": "bogus"}]
-    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
-    with pytest.raises(DataError, match=f"{path}:2: session: 'split' must be one of"):
-        ds.load_sessions(path, 2)
-
-
 def _manifest(text: str, key: str, literal: str) -> str:
     """The manifest JSON with `key`'s value replaced by the JSON literal."""
     fields = json.loads(text)
@@ -316,3 +308,39 @@ def test_dump_candidates_that_cannot_be_written_leaves_no_report(workspace, tmp_
     code, err = run(command(workspace, "eval")[:-1] + [str(tmp_path / "out"), "--dump-candidates", str(tmp_path / "cands")])
     assert_exit_2_naming(code, err, tmp_path / "cands")
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_ingest_that_cannot_replace_a_split_leaves_the_data_dir_as_it_was(tmp_path):
+    """A re-ingest that would write 12 items, over a data dir of 25 whose
+    val.jsonl is now a directory, changes no file: the old catalog and
+    manifest still describe the old splits."""
+    write_fixture_dataset(tmp_path)
+    (tmp_path / "run.cfg").write_text(BASE_CFG)
+    (tmp_path / "rare.cfg").write_text(BASE_CFG.replace("min_item_freq = 2", "min_item_freq = 13"))
+    assert run(["ingest", "--config", str(tmp_path / "run.cfg")])[0] == 0
+    data = tmp_path / "data"
+    (data / "val.jsonl").unlink()
+    (data / "val.jsonl").mkdir()
+    before = tree(tmp_path)
+    code, err = run(["ingest", "--config", str(tmp_path / "rare.cfg")])
+    assert_exit_2_naming(code, err, data / "val.jsonl")
+    assert tree(tmp_path) == before
+    assert len((data / "catalog.json").read_text().splitlines()) == 25
+    assert json.loads((data / "manifest.json").read_text())["n_items"] == 25
+
+
+def test_train_that_cannot_write_its_history_leaves_no_checkpoint(workspace, tmp_path):
+    (tmp_path / "out" / "history.json").mkdir(parents=True)
+    before = tree(tmp_path)
+    code, err = run(["train", "--config", str(workspace / "run.cfg"), "--variant", "base", "--out", str(tmp_path / "out")])
+    assert_exit_2_naming(code, err, tmp_path / "out" / "history.json")
+    assert tree(tmp_path) == before
+
+
+def test_eval_that_cannot_write_its_report_leaves_no_candidates(workspace, tmp_path):
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    before = tree(tmp_path)
+    cands = tmp_path / "c" / "cands.jsonl"
+    code, err = run(command(workspace, "eval")[:-1] + [str(tmp_path / "out"), "--dump-candidates", str(cands)])
+    assert_exit_2_naming(code, err, tmp_path / "out" / "report.json")
+    assert tree(tmp_path) == before
