@@ -22,7 +22,7 @@ from .embeddings import SemanticItemTable, load_semantic_table, pseudo_semantic_
 from .errors import DataError, SemsrError
 from .llm import HttpClient, MockClient, build_fewshot_strategy, build_title_index, load_templates, recommend_via_llm
 from .metrics import EvalResult, evaluate, recall_at_k
-from .model import Scorer, init_model, load_checkpoint, save_checkpoint, scorer
+from .model import Scorer, _write_checkpoint, init_model, load_checkpoint, scorer
 from .retrieval import read_candidates, rerank, write_candidates
 from .train import TrainingDiverged, fit
 
@@ -135,7 +135,7 @@ def cmd_train(cfg: RunConfig) -> int:
     except TrainingDiverged as exc:
         diverged, best, history = exc, exc.params, exc.history
     ds.write_outputs({
-        out / "checkpoint": partial(save_checkpoint, params=best),
+        out / "checkpoint": partial(_write_checkpoint, params=best),
         out / "history.json": partial(ds.write_json, payload=history),
     })
     if diverged is not None:
@@ -218,37 +218,26 @@ def cmd_prompt(cfg: RunConfig) -> int:
     return 0
 
 
+# command -> (its function, the flags it reads besides --config)
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "rerank": cmd_rerank,
-    "prompt": cmd_prompt,
+    "ingest": (cmd_ingest, ("seed", "out", "data-dir")),
+    "train": (cmd_train, ("seed", "variant", "out")),
+    "eval": (cmd_eval, ("seed", "k", "out", "checkpoint", "dump-candidates")),
+    "rerank": (cmd_rerank, ("seed", "k", "out", "candidates", "ranker-checkpoint")),
+    "prompt": (cmd_prompt, ("seed", "k", "out", "dump-candidates", "strategy", "threads")),
 }
+_DEST = {"k": "ks", "out": "out_dir"}  # a flag's config key, where it is not the flag's own name
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semsr", description="session-based recommendation engine")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run config file (key = value lines)")
-        p.add_argument("--seed")
-        p.add_argument("--variant")
-        p.add_argument("--k", dest="ks", help="comma-separated cutoffs, e.g. 20,100")
-        p.add_argument("--out", dest="out_dir")
-        if name == "ingest":
-            p.add_argument("--data-dir", dest="data_dir")
-        if name == "eval":
-            p.add_argument("--checkpoint")
-        if name in ("eval", "prompt"):
-            p.add_argument("--dump-candidates", dest="dump_candidates")
-        if name == "rerank":
-            p.add_argument("--candidates")
-            p.add_argument("--ranker-checkpoint", dest="ranker_checkpoint")
-        if name == "prompt":
-            p.add_argument("--strategy")
-            p.add_argument("--threads")
+        for flag in flags:
+            p.add_argument(f"--{flag}", dest=_DEST.get(flag, flag.replace("-", "_")),
+                           help="comma-separated cutoffs, e.g. 20,100" if flag == "k" else None)
     return parser
 
 
@@ -261,7 +250,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, overrides)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -240,17 +240,20 @@ def load_metadata(path) -> dict[str, ItemMeta]:
     return out
 
 
+def _session_ids(rec: dict) -> tuple[str, str | None]:
+    """A session record's id and user id: the id is required, and a missing
+    or empty user id is None."""
+    user = rec.get("user_id")
+    return _ident(_required(rec, "session_id"), "'session_id'"), None if user in (None, "") else _ident(user, "'user_id'")
+
+
 def _raw_session(line: str) -> RawSession:
     rec = json_object(line)
     items = _required(rec, "items")
     if not isinstance(items, list) or not items:
         raise DataError("'items' must be a non-empty list")
-    user = rec.get("user_id")
-    return RawSession(
-        id=_ident(_required(rec, "session_id"), "'session_id'"),
-        items=[_ident(i, "an item") for i in items],
-        user_id=None if user in (None, "") else _ident(user, "'user_id'"),
-    )
+    session_id, user_id = _session_ids(rec)
+    return RawSession(id=session_id, items=[_ident(i, "an item") for i in items], user_id=user_id)
 
 
 def ingest_sessions(path) -> list[RawSession]:
@@ -432,6 +435,7 @@ def load_sessions(path, n: int, split: str) -> list[Session]:
             raise DataError("'items' must be a list of at least 2 integers")
         if not 0 <= min(items) <= max(items) < n:
             raise DataError(f"item outside the catalog's 0..{n - 1}")
-        return Session(id=_required(rec, "session_id"), items=items, user_id=rec.get("user_id"), split=split)
+        session_id, user_id = _session_ids(rec)
+        return Session(id=session_id, items=items, user_id=user_id, split=split)
 
     return read_records(path, "session", parse)

@@ -22,13 +22,14 @@ u64 LE, then float32 LE values row-major.
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import read_json, write_json, write_outputs
 from .embeddings import SemanticItemTable, f32_bytes, fit_projection, read_f32
-from .encoder import BACKBONES, attention_forward, attention_shapes, get_backbone, init_attention_tensors, normalize_rows, softmax
+from .encoder import attention_forward, attention_shapes, get_backbone, init_attention_tensors, normalize_rows, softmax
 from .errors import DataError, NumericError
 from .retrieval import RankedList, top_k
 
@@ -47,6 +48,18 @@ class ModelParams:
     step: int = 0
     semantic_fingerprint: str = ""  # sem-f: the semantic table it scores with
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        """The one header rule, for every model made (init, load or copy)."""
+        if self.variant not in VARIANTS:
+            raise DataError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        get_backbone(self.backbone)  # an unregistered key is a DataError
+        if not 0 < self.scale < math.inf:
+            raise DataError(f"scale must be finite and positive, got {self.scale}")
+        if min(self.d1, self.d2, self.d) < 1:
+            raise DataError("widths d1, d2 and d must be >= 1")
+        if min(self.seed, self.step) < 0:
+            raise DataError(f"seed and step must be >= 0, got {self.seed} and {self.step}")
 
     @property
     def n(self) -> int:
@@ -79,18 +92,16 @@ def init_model(
     sem-f draw it uniform in [-0.1, 0.1]. All draws come from one
     generator seeded with `seed`, in a fixed tensor order, so runs are
     reproducible. sem-f keeps the semantic table's fingerprint, which its
-    checkpoint manifest records.
+    checkpoint manifest records. The header passes ModelParams' rule, the
+    one load_checkpoint applies, and a semantic table must be n x d2.
     """
-    if variant not in VARIANTS:
-        raise DataError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    _check_scale(scale)
+    params = ModelParams(variant=variant, backbone=backbone, d1=d1, d2=d2, d=d, scale=scale, seed=seed)
     if variant != "base" and semantic is None:
         raise DataError(f"{variant} initialization needs a semantic table")
-    if semantic is not None and semantic.n != n:
-        raise DataError(f"semantic table rows {semantic.n} != catalog items {n}")
+    if semantic is not None and (semantic.n, semantic.d2) != (n, d2):
+        raise DataError(f"semantic table is {semantic.n}x{semantic.d2}, but the model needs {n}x{d2}")
 
     rng = np.random.default_rng(seed)
-    params = ModelParams(variant=variant, backbone=backbone, d1=d1, d2=d2, d=d, scale=scale, seed=seed)
     if variant == "sem-f":
         params.semantic_fingerprint = semantic.fingerprint
 
@@ -116,11 +127,6 @@ def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values in {name}")
     return arr
-
-
-def _check_scale(scale: float, where: str = "") -> None:
-    if not 0 < scale < math.inf:
-        raise DataError(f"{where}scale must be finite and positive, got {scale}")
 
 
 def normalized_item_matrix(params: ModelParams):
@@ -213,20 +219,22 @@ def rank_examples(params: ModelParams, semantic: SemanticItemTable | None, examp
 _MANIFEST = {"variant": str, "backbone": str, "d1": int, "d2": int, "d": int, "scale": float, "seed": int, "step": int}
 
 
+def _write_checkpoint(staging: Path, params: ModelParams) -> None:
+    """Fill the new directory `staging` with the checkpoint of `params`: the
+    `write_outputs` writer of a checkpoint."""
+    staging.mkdir()
+    manifest = {key: getattr(params, key) for key in _MANIFEST}
+    if params.variant == "sem-f":
+        manifest["semantic_fingerprint"] = params.semantic_fingerprint
+    write_json(staging / "manifest.json", manifest)
+    for name, tensor in params.tensors.items():
+        (staging / f"{name}.bin").write_bytes(struct.pack("<Q", np.ndim(tensor)) + f32_bytes(tensor))
+
+
 def save_checkpoint(directory, params: ModelParams) -> None:
     """Write the checkpoint directory through `write_outputs`: a save replaces
     whatever `directory` held, and a save that fails leaves it whole."""
-
-    def write(staging: Path) -> None:
-        staging.mkdir()
-        manifest = {key: getattr(params, key) for key in _MANIFEST}
-        if params.variant == "sem-f":
-            manifest["semantic_fingerprint"] = params.semantic_fingerprint
-        write_json(staging / "manifest.json", manifest)
-        for name, tensor in params.tensors.items():
-            (staging / f"{name}.bin").write_bytes(struct.pack("<Q", np.ndim(tensor)) + f32_bytes(tensor))
-
-    write_outputs({directory: write})
+    write_outputs({directory: partial(_write_checkpoint, params=params)})
 
 
 def load_checkpoint(directory) -> ModelParams:
@@ -237,21 +245,17 @@ def load_checkpoint(directory) -> ModelParams:
     own = {"semantic_fingerprint": str} if m.get("variant") == "sem-f" else {}
     for key, typ in {**_MANIFEST, **own}.items():
         value, json_type = m.get(key), (int, float) if typ is float else typ
-        try:  # values keep their JSON type: true is no number, "16" no scale, 8.7 or -5 no count
-            if isinstance(value, bool) or not isinstance(value, json_type) or (typ is int and value < 0):
+        try:  # values keep their JSON type: true is no number, "16" no scale, 8.7 no count
+            if isinstance(value, bool) or not isinstance(value, json_type):
                 raise TypeError
             fields[key] = typ(value)
         except (TypeError, OverflowError):
             kind = "non-negative integer" if typ is int else typ.__name__
             raise DataError(f"{manifest_path}: {key!r} is missing or not a {kind}") from None
-    if fields["variant"] not in VARIANTS:
-        raise DataError(f"{manifest_path}: unknown variant {fields['variant']!r}; expected one of {VARIANTS}")
-    if fields["backbone"] not in BACKBONES:
-        raise DataError(f"{manifest_path}: unknown backbone {fields['backbone']!r}; registered: {sorted(BACKBONES)}")
-    _check_scale(fields["scale"], f"{manifest_path}: ")
-    if min(fields["d1"], fields["d2"], fields["d"]) < 1:
-        raise DataError(f"{manifest_path}: widths d1, d2 and d must be >= 1")
-    params = ModelParams(**fields)
+    try:
+        params = ModelParams(**fields)
+    except DataError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from None
     table_path = directory / "item_table.bin"  # read first: its width confirms d1 before the backbone builds d1-wide tensors
     if not table_path.exists():
         raise DataError(f"checkpoint at {directory} has no item_table tensor")

@@ -238,6 +238,19 @@ class TestTrainEvalCommands:
         assert (workspace / "eval" / "candidates.jsonl").exists()
         assert not [p for p in workspace.rglob(".*") if p.suffix in (".new", ".old")]
 
+    def test_train_writes_its_outputs_in_one_call(self, workspace, monkeypatch):
+        """The checkpoint is staged once, beside history.json, not again inside its own staging."""
+        calls = []
+
+        def counted(writers, _write=ds.write_outputs):
+            calls.append(sorted(Path(target).name for target in writers))
+            return _write(writers)
+
+        monkeypatch.setattr(ds, "write_outputs", counted)
+        monkeypatch.setattr(model, "write_outputs", counted)
+        assert main(["train", "--config", str(workspace / "run.cfg"), "--out", str(workspace / "m")]) == 0
+        assert calls == [["checkpoint", "history.json"]]
+
     def test_training_is_deterministic(self, workspace):
         cfg = str(workspace / "run.cfg")
         for out in ("r1", "r2"):
@@ -608,7 +621,7 @@ class TestExitCodes:
     def test_bad_flag_value_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("variant = base\n")
-        assert main(["train", "--config", str(cfg), "--k", "20,lots"]) == 2
+        assert main(["eval", "--config", str(cfg), "--k", "20,lots"]) == 2
         assert "command line: bad value for ks" in capsys.readouterr().err
 
     def test_unknown_strategy_flag_is_exit_2_naming_the_command_line(self, tmp_path, capsys):
@@ -624,9 +637,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: command line: unknown variant 'fancy'\n"
 
     def test_threads_is_a_prompt_flag_only(self):
-        with pytest.raises(SystemExit) as info:
-            main(["train", "--config", "x", "--threads", "2"])
-        assert info.value.code == 2
+        """Each command takes only the flags it reads: `--threads` is prompt's,
+        `--variant` train's, and `--k` is read by eval, rerank and prompt."""
+        pairs = [("train", "--threads"), ("ingest", "--variant"), ("eval", "--variant"), ("rerank", "--variant"),
+                 ("prompt", "--variant"), ("ingest", "--k"), ("train", "--k")]
+        for command, flag in pairs:
+            with pytest.raises(SystemExit) as info:
+                main([command, "--config", "x", flag, "2"])
+            assert info.value.code == 2, (command, flag)
 
     def test_unknown_command_is_argparse_error(self):
         with pytest.raises(SystemExit) as info:

@@ -181,6 +181,21 @@ def test_split_record_naming_another_split_is_exit_2_naming_its_line(workspace, 
     assert_exit_2_naming(code, err, f"{path}:{len(lines)}: session: ")
 
 
+@pytest.mark.parametrize("key, value", [("session_id", [1, {"a": 2}]), ("user_id", {"x": [3]})])
+def test_split_id_that_is_not_a_string_is_exit_2_naming_its_line(workspace, key, value):
+    """A split file's ids follow ingest's rule: a string or an integer."""
+    path = workspace / "data" / "test.jsonl"
+    original = path.read_text()
+    lines = original.splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), key: value})
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        code, err = run(command(workspace, "eval"))
+    finally:
+        path.write_text(original)
+    assert_exit_2_naming(code, err, f"{path}:1: session: '{key}' must be a string or an integer")
+
+
 def _manifest(text: str, key: str, literal: str) -> str:
     """The manifest JSON with `key`'s value replaced by the JSON literal."""
     fields = json.loads(text)

@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import struct
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import count_item_side_builds, make_catalog, make_semantic, random_examples
@@ -13,6 +16,7 @@ from semsr import model
 from semsr.embeddings import SemanticItemTable, fit_projection
 from semsr.errors import DataError, NumericError
 from semsr.model import (
+    VARIANTS,
     ModelParams,
     init_model,
     load_checkpoint,
@@ -281,6 +285,53 @@ class TestModelParams:
         for name, tensor in params.tensors.items():
             np.testing.assert_array_equal(clone.tensors[name], tensor)
             assert not np.shares_memory(clone.tensors[name], tensor), name
+
+    @pytest.mark.parametrize("variant, edit, message", [
+        ("base", {"d1": 0}, "widths d1, d2 and d must be >= 1"),
+        ("base", {"d2": 0}, "widths d1, d2 and d must be >= 1"),
+        ("sem-f", {"d": 0}, "widths d1, d2 and d must be >= 1"),
+        ("base", {"seed": -1}, "seed and step must be >= 0"),
+        ("sem-i", {"table": 4}, "semantic table is 6x4, but the model needs 6x8"),
+        ("sem-f", {"table": 4}, "semantic table is 6x4, but the model needs 6x8"),
+    ])
+    def test_init_model_rejects_what_a_checkpoint_could_not_hold(self, variant, edit, message):
+        args = {"d1": 2, "d2": 8, "d": 2, "seed": 0, "table": 8, **edit}
+        width = args.pop("table")
+        semantic = make_semantic(make_catalog(6), width) if variant != "base" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{message}"):
+                init_model(variant, 6, semantic=semantic, **args)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(variant=st.sampled_from(VARIANTS), d1=st.integers(0, 4), d2=st.integers(0, 4), d=st.integers(0, 4),
+           scale=st.floats() | st.just(16.0), seed=st.integers(-1, 2))
+    def test_init_model_accepts_exactly_the_headers_a_checkpoint_reads_back(self, variant, d1, d2, d, scale, seed):
+        assume(variant != "sem-i" or d1 <= d2)  # else the PCA start has too few directions
+        semantic = make_semantic(make_catalog(6), max(d2, 1)) if variant != "base" else None
+        header = {"variant": variant, "d1": d1, "d2": d2, "d": d, "scale": scale, "seed": seed}
+        try:
+            params, made = init_model(n=6, semantic=semantic, **header), True
+        except DataError:  # save the header anyway, on the tensors of a model that init_model makes
+            params, made = init_model(variant, 6, max(d1, 1), max(d2, 1), max(d, 1), max(seed, 0), semantic=semantic), False
+            for key, value in header.items():
+                setattr(params, key, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_checkpoint(Path(tmp) / "ckpt", params)
+            try:
+                back = load_checkpoint(Path(tmp) / "ckpt")
+            except DataError:
+                back = None
+        assert (back is not None) == made
+        if made:
+            assert _header(back) == _header(params)
+            assert back.tensors.keys() == params.tensors.keys()
+            for name, tensor in params.tensors.items():
+                assert back.tensors[name].astype(np.float32).tobytes() == tensor.astype(np.float32).tobytes(), name
+
+
+def _header(params: ModelParams) -> dict:
+    return {f.name: getattr(params, f.name) for f in dataclasses.fields(ModelParams) if f.name != "tensors"}
 
 
 class TestCheckpoints:
