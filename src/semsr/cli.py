@@ -78,9 +78,9 @@ def _write_report(cfg: RunConfig, name: str, result: EvalResult, ranked=None, **
     to `dump_candidates` when both are set, in one `write_outputs` call."""
     report = Path(cfg.out_dir or ".") / name
     dump = cfg.dump_candidates if ranked is not None else None
-    outputs = {report: partial(ds.write_json, payload={**result.to_json_dict(), **extra, "seed": cfg.seed})}
+    outputs = [(report, partial(ds.write_json, payload={**result.to_json_dict(), **extra, "seed": cfg.seed}))]
     if dump:
-        outputs[Path(dump)] = partial(write_candidates, ranked_lists=ranked)
+        outputs.append((dump, partial(write_candidates, ranked_lists=ranked)))
     ds.write_outputs(outputs)
     if dump:
         print(f"candidates: {dump}")
@@ -96,11 +96,11 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
     out = Path(cfg.data_dir or cfg.out_dir or "data")
     manifest = ds.dataset_manifest(catalog, splits, cfg.seed)
-    ds.write_outputs({
-        out / "catalog.json": partial(ds.save_catalog, catalog=catalog),
-        **{out / f"{name}.jsonl": partial(ds.save_sessions, sessions=part) for name, part in splits.items()},
-        out / "manifest.json": partial(ds.write_json, payload=manifest),
-    })
+    ds.write_outputs([
+        (out / "catalog.json", partial(ds.save_catalog, catalog=catalog)),
+        *((out / f"{name}.jsonl", partial(ds.save_sessions, sessions=part)) for name, part in splits.items()),
+        (out / "manifest.json", partial(ds.write_json, payload=manifest)),
+    ])
 
     print(f"items: {manifest['n_items']}")
     print(f"sessions: train={manifest['n_train']} val={manifest['n_val']} test={manifest['n_test']}")
@@ -134,10 +134,10 @@ def cmd_train(cfg: RunConfig) -> int:
         )
     except TrainingDiverged as exc:
         diverged, best, history = exc, exc.params, exc.history
-    ds.write_outputs({
-        out / "checkpoint": partial(_write_checkpoint, params=best),
-        out / "history.json": partial(ds.write_json, payload=history),
-    })
+    ds.write_outputs([
+        (out / "checkpoint", partial(_write_checkpoint, params=best)),
+        (out / "history.json", partial(ds.write_json, payload=history)),
+    ])
     if diverged is not None:
         print(f"error: training diverged ({diverged}); last good checkpoint retained", file=sys.stderr)
         return 1

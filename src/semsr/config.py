@@ -9,15 +9,13 @@ keys are rejected so typos fail fast.
 """
 
 import dataclasses
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import check_ratios, read_records
-from .errors import DataError
-from .llm import STRATEGY_KINDS
-from .model import VARIANTS
+from . import dataset, llm, metrics, model, train
+from .dataset import read_records
+from .errors import DataError, check_values
 
 _PATH_FIELDS = (
     "sessions_path",
@@ -78,29 +76,8 @@ class RunConfig:
     templates_dir: str | None = None
 
 
-_AT_LEAST_ONE = ("d1", "d2", "d", "batch_size", "epochs", "patience", "threads", "val_k", "max_retries", "min_item_freq", "shots")
-
-
-def _check_range(name: str, value) -> None:
-    """The value rule of field `name`; a value outside it is a DataError."""
-    if name == "variant" and value not in VARIANTS:
-        raise DataError(f"unknown variant {value!r}")
-    if name == "strategy" and value not in STRATEGY_KINDS:
-        raise DataError(f"unknown strategy {value!r}; expected one of {STRATEGY_KINDS}")
-    if name in _AT_LEAST_ONE and value < 1:
-        raise DataError(f"{name} must be >= 1")
-    if name == "seed" and value < 0:
-        raise DataError("seed must be >= 0")
-    if name in ("scale", "lr", "timeout") and not 0 < value < math.inf:
-        raise DataError(f"{name} must be {'positive' if value <= 0 else 'finite'}")
-    if name == "ks" and any(k < 1 for k in value):
-        raise DataError("every K must be >= 1")
-    if name == "min_session_len" and value < 2:
-        raise DataError("min_session_len must be >= 2")
-    if name == "ratios":
-        check_ratios(value)
-
-
+_RULES = {**dataset.RULES, **model.RULES, **train.RULES, **llm.RULES, **metrics.RULES,
+          "threads": (lambda v: v >= 1, ">= 1")}  # each value's rule is its taker's; only the CLI reads threads
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
@@ -126,14 +103,13 @@ def _coerce(name: str, raw: str):
 def _entry(key: str, text: str) -> tuple | None:
     """(key, value) for one config value given as text, from a config line
     or a flag; None for an empty value. An unknown key, a value that does
-    not parse or one outside its field's rule is a DataError."""
+    not parse or one outside its rule in _RULES is a DataError."""
     if key not in _FIELDS:
         raise DataError(f"unknown config key {key!r}")
     value = _coerce(key, text)
-    if value is not None:
-        _check_range(key, value)
-        return key, value
-    return None
+    if value is not None and key in _RULES:
+        check_values(_RULES, **{key: value})
+    return None if value is None else (key, value)
 
 
 def _config_line(line: str) -> tuple | None:

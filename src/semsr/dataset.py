@@ -17,9 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_values
 
 SPLITS = ("train", "val", "test")
+RULES = {  # {name: (test, wanted)} of the values this module takes, for errors.check_values
+    "min_item_freq": (lambda v: v >= 1, ">= 1"),
+    "min_session_len": (lambda v: v >= 2, ">= 2"),
+    "ratios": (lambda r: len(r) == 3 and all(x >= 0 for x in r) and abs(sum(r) - 1.0) <= 1e-9,
+               "three values >= 0 that sum to 1"),
+    "seed": (lambda v: v >= 0, ">= 0"),  # every seeded generator's rule
+    "price": (lambda v: v is None or math.isfinite(float(v)), "a finite number"),  # NaN and Infinity are not JSON
+}
 
 
 @dataclass
@@ -146,16 +154,20 @@ def _remove(path: Path) -> None:
         path.unlink(missing_ok=True)
 
 
-def write_outputs(writers: dict) -> None:
-    """Write a command's outputs together or not at all. Each writer fills its
-    target's sibling .<name>.new; once all have returned, each staged entry
-    replaces its target, a directory by way of .<name>.old. If a writer
-    raises, or a target exists as the other kind of entry (an OSError naming
-    it), the staged entries and the directories made for them go before any
-    target has changed."""
+def write_outputs(writers) -> None:
+    """Write (target, writer) pairs together or not at all; two targets that
+    resolve to one path are an OSError naming it. Each writer fills its
+    target's sibling .<name>.new; then each staged entry replaces its
+    target, a directory by way of .<name>.old. If a writer raises, or a
+    target exists as the other kind of entry (an OSError naming it), the
+    staged entries and made directories go before any target changes."""
+    resolved = [Path(target).resolve() for target, _ in writers]
+    for i, path in enumerate(resolved):
+        if path in resolved[:i]:
+            raise OSError(f"{path} is the target of two outputs")
     staged, made = {}, []
     try:
-        for target, write in writers.items():
+        for target, write in writers:
             target = Path(target)
             made += [p for p in target.parents if not p.exists()]
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -211,17 +223,14 @@ def _item(rec: dict) -> ItemMeta:
     if type(title) is not str or not title:
         raise DataError(f"item 'title' must be a non-empty string, got {title!r}")
     price = rec.get("price")
-    try:
-        price = float(price) if price is not None else None
-    except (TypeError, ValueError, OverflowError):
-        raise DataError(f"'price' is not a number ({price!r})") from None
+    check_values(RULES, price=price)
     return ItemMeta(
         id=_ident(rec["id"], "item 'id'"),
         title=title,
         brand=rec.get("brand"),
         category=rec.get("category"),
         color=rec.get("color"),
-        price=price,
+        price=None if price is None else float(price),
         description=rec.get("description"),
     )
 
@@ -287,10 +296,7 @@ def preprocess(
     so the two rules alternate until no item is rare. Removal only shrinks
     the data, so this fixed point does not depend on the order of removal.
     """
-    if min_item_freq < 1:
-        raise DataError("min_item_freq must be >= 1")
-    if min_session_len < 2:
-        raise DataError("min_session_len must be >= 2")
+    check_values(RULES, min_item_freq=min_item_freq, min_session_len=min_session_len)
 
     unknown = {i for s in sessions for i in s.items if i not in metadata}
     if unknown:
@@ -321,12 +327,6 @@ def _apportion(total: int, ratios: tuple[float, ...]) -> list[int]:
     return base
 
 
-def check_ratios(ratios: tuple[float, ...]) -> None:
-    """The split-ratio rule: three values, each >= 0 (so not NaN), that sum to 1."""
-    if len(ratios) != 3 or not all(r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError("ratios must be three values >= 0 that sum to 1")
-
-
 def split_by_user(
     sessions: list[Session],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -337,7 +337,7 @@ def split_by_user(
     All sessions sharing a grouping key land in the same split; key counts
     per split stay within one of the exact ratio. Deterministic for a seed.
     """
-    check_ratios(ratios)
+    check_values(RULES, ratios=ratios, seed=seed)
     keys = sorted({s.user_id or s.id for s in sessions})
     if len(keys) < 3:
         raise DataError("need at least 3 grouping keys to split")

@@ -19,3 +19,16 @@ class NumericError(SemsrError):
 
 class GenerationError(SemsrError):
     """Text-generation endpoint failed, timed out, or returned nothing."""
+
+
+def check_values(rules: dict, **values) -> None:
+    """Check each value against its rule in `rules`, {name: (test, wanted)},
+    the one statement of the rule that a module owns and `config` looks up;
+    the first that fails is the DataError "<name> must be <wanted>, got <value!r>"."""
+    for name, value in values.items():
+        try:
+            ok = rules[name][0](value)
+        except (TypeError, ValueError, OverflowError):  # a value its test cannot read fails it
+            ok = False
+        if not ok:
+            raise DataError(f"{name} must be {rules[name][1]}, got {value!r}")

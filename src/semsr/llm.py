@@ -18,6 +18,7 @@ with exponential backoff.
 
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -25,15 +26,24 @@ from dataclasses import dataclass, field
 from functools import partial
 from hashlib import sha256
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
 from .dataset import Catalog, Session, read_json, read_text
 from .embeddings import _encode_rows, encode_text
-from .errors import DataError, GenerationError
+from .errors import DataError, GenerationError, check_values
 from .retrieval import RankedList, VectorIndex, build_index, query
 
 STRATEGY_KINDS = ("fs", "zcot", "fscot")
+RULES = {  # {name: (test, wanted)} of the prompt baseline, for errors.check_values
+    "strategy": (lambda v: v in STRATEGY_KINDS, f"one of {STRATEGY_KINDS}"),
+    "shots": (lambda v: v >= 1, ">= 1"),
+    "endpoint_url": (lambda v: (u := urlsplit(v)).scheme in ("http", "https") and bool(u.hostname) and u.port != 0,
+                     "an http or https URL with a host (and any port in 1..65535)"),  # u.port raises past 65535
+    "timeout": (lambda v: 0 < v <= threading.TIMEOUT_MAX, f"> 0 and <= {threading.TIMEOUT_MAX}"),  # a socket's limit
+    "max_retries": (lambda v: v >= 1, ">= 1"),
+}
 
 _TEMPLATE_FILES = {
     "system": "system.txt",
@@ -49,8 +59,7 @@ class PromptStrategy:
     shots: list[tuple[list[str], str]] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise DataError(f"unknown strategy {self.kind!r}; expected one of {STRATEGY_KINDS}")
+        check_values(RULES, strategy=self.kind)
         if self.kind in ("fs", "fscot") and not self.shots:
             raise DataError(f"{self.kind} strategy requires at least one shot")
         if self.kind == "zcot" and self.shots:
@@ -159,8 +168,7 @@ class HttpClient:
     """
 
     def __init__(self, url: str, timeout: float = 30.0, max_retries: int = 3, backoff: float = 1.0):
-        if not url:
-            raise DataError("endpoint url is required")
+        check_values(RULES, endpoint_url=url, timeout=timeout, max_retries=max_retries)
         self.url = url
         self.timeout = timeout
         self.max_retries = max_retries
@@ -196,6 +204,7 @@ def build_fewshot_strategy(
 ) -> PromptStrategy:
     """Sample few-shot examples from the training split (seeded). Each shot
     is (all-but-last titles, last title)."""
+    check_values(RULES, strategy=kind, shots=n_shots)
     if kind == "zcot":
         return PromptStrategy(kind="zcot")
     usable = [s for s in train_sessions if len(s.items) >= 2]

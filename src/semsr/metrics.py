@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_values
+
+RULES = {"ks": (lambda ks: all(k >= 1 for k in ks), "all >= 1")}  # {name: (test, wanted)}, for errors.check_values
 
 
 def target_rank(ranked, target: int) -> int:
@@ -53,8 +55,7 @@ def evaluate(ranked_lists, targets, ks=(20, 100)) -> EvalResult:
         raise DataError("empty test set")
     if len(ranked_lists) != len(targets):
         raise DataError("ranked lists and targets differ in length")
-    if any(k < 1 for k in ks):
-        raise DataError("k must be >= 1")
+    check_values(RULES, ks=ks)
     ranks = [target_rank(rl, t) for rl, t in zip(ranked_lists, targets)]
     m = len(ranks)
     return EvalResult(

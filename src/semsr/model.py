@@ -27,13 +27,21 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dataset
 from .dataset import read_json, write_json, write_outputs
 from .embeddings import SemanticItemTable, f32_bytes, fit_projection, read_f32
 from .encoder import attention_forward, attention_shapes, get_backbone, init_attention_tensors, normalize_rows, softmax
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_values
 from .retrieval import RankedList, top_k
 
 VARIANTS = ("base", "sem-i", "sem-f")
+RULES = {  # {name: (test, wanted)} of a model's header, for errors.check_values
+    "variant": (lambda v: v in VARIANTS, f"one of {VARIANTS}"),
+    "scale": (lambda v: 0 < v < math.inf, "finite and positive"),
+    **{width: (lambda v: v >= 1, ">= 1") for width in ("d1", "d2", "d")},
+    "seed": dataset.RULES["seed"],
+    "step": (lambda v: v >= 0, ">= 0"),
+}
 
 
 @dataclass
@@ -51,15 +59,8 @@ class ModelParams:
 
     def __post_init__(self):
         """The one header rule, for every model made (init, load or copy)."""
-        if self.variant not in VARIANTS:
-            raise DataError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        check_values(RULES, **{name: getattr(self, name) for name in RULES})
         get_backbone(self.backbone)  # an unregistered key is a DataError
-        if not 0 < self.scale < math.inf:
-            raise DataError(f"scale must be finite and positive, got {self.scale}")
-        if min(self.d1, self.d2, self.d) < 1:
-            raise DataError("widths d1, d2 and d must be >= 1")
-        if min(self.seed, self.step) < 0:
-            raise DataError(f"seed and step must be >= 0, got {self.seed} and {self.step}")
 
     @property
     def n(self) -> int:
@@ -234,7 +235,7 @@ def _write_checkpoint(staging: Path, params: ModelParams) -> None:
 def save_checkpoint(directory, params: ModelParams) -> None:
     """Write the checkpoint directory through `write_outputs`: a save replaces
     whatever `directory` held, and a save that fails leaves it whole."""
-    write_outputs({directory: partial(_write_checkpoint, params=params)})
+    write_outputs([(directory, partial(_write_checkpoint, params=params))])
 
 
 def load_checkpoint(directory) -> ModelParams:

@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dataset
 from .embeddings import SemanticItemTable
 from .encoder import attention_backward, get_backbone, normalize_rows_backward, row_blocks
 from .encoder import attention_forward  # noqa: F401 -- not called here; bench/tracing.py patches it
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_values
 from .metrics import evaluate
 from .model import ModelParams, rank_examples, scorer
 from .model import normalized_item_matrix  # noqa: F401 -- not called here; bench/tracing.py patches it
@@ -46,6 +47,11 @@ class LossReport:
 
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's published defaults (Kingma & Ba, 2015)
+RULES = {  # {name: (test, wanted)} of fit's schedule, for errors.check_values
+    **{count: (lambda v: v >= 1, ">= 1") for count in ("epochs", "batch_size", "patience", "val_k")},
+    "lr": (lambda v: 0 < v < math.inf, "finite and positive"),
+    "seed": dataset.RULES["seed"],
+}
 
 
 @dataclass
@@ -169,10 +175,11 @@ def fit(
     the highest validation Recall@val_k, or after every epoch when there is
     no validation set; `params` keeps training in place.
 
-    Early-stops after `patience` (>= 1) epochs without improvement. A
-    non-finite loss aborts with TrainingDiverged carrying the snapshot and
-    the history so far.
+    Early-stops after `patience` epochs without improvement; a setting
+    outside RULES is a DataError. A non-finite loss aborts with
+    TrainingDiverged carrying the snapshot and the history so far.
     """
+    check_values(RULES, epochs=epochs, batch_size=batch_size, lr=lr, patience=patience, seed=seed, val_k=val_k)
     if not train_examples:
         raise DataError("empty training set")
     state = init_adam(params, lr=lr)

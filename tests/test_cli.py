@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 
 import semsr.dataset as ds
-from helpers import count_item_side_builds, serving
+from helpers import count_item_side_builds, make_catalog, serving
 from oracles import rr_at_k
 from semsr import config, model
 from semsr.cli import main
 from semsr.config import RunConfig, load_config
 from semsr.embeddings import pseudo_semantic_table, save_semantic_tsv
-from semsr.errors import DataError
-from semsr.llm import build_fewshot_strategy, build_prompt, load_templates, prompt_hash
+from semsr.dataset import Example
+from semsr.errors import DataError, check_values
+from semsr.llm import HttpClient, build_fewshot_strategy, build_prompt, load_templates, prompt_hash
+from semsr.metrics import evaluate
 from semsr.model import load_checkpoint, save_checkpoint, score_all
 from semsr.retrieval import read_candidates, rerank
+from semsr.train import fit
 
 
 class TestConfig:
@@ -101,33 +104,85 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("d1", "0", "d1 must be >= 1"),
-            ("lr", "-1", "lr must be positive"),
-            ("ks", "0,5", "every K must be >= 1"),
-            ("min_item_freq", "0", "min_item_freq must be >= 1"),
-            ("min_session_len", "1", "min_session_len must be >= 2"),
-            ("ratios", "0.9,0.1", "ratios must be three values >= 0 that sum to 1"),
-            ("ratios", "1.2,-0.1,-0.1", "ratios must be three values >= 0 that sum to 1"),
-            ("seed", "-1", "seed must be >= 0"),
-            ("shots", "0", "shots must be >= 1"),
-            ("patience", "0", "patience must be >= 1"),
-            ("strategy", "foo", re.escape("unknown strategy 'foo'; expected one of ('fs', 'zcot', 'fscot')")),
+            ("d1", "0", "d1 must be >= 1, got 0"),
+            ("lr", "-1", "lr must be finite and positive, got -1.0"),
+            ("ks", "0,5", "ks must be all >= 1, got (0, 5)"),
+            ("min_item_freq", "0", "min_item_freq must be >= 1, got 0"),
+            ("min_session_len", "1", "min_session_len must be >= 2, got 1"),
+            ("ratios", "0.9,0.1", "ratios must be three values >= 0 that sum to 1, got (0.9, 0.1)"),
+            ("ratios", "1.2,-0.1,-0.1", "ratios must be three values >= 0 that sum to 1, got (1.2, -0.1, -0.1)"),
+            ("seed", "-1", "seed must be >= 0, got -1"),
+            ("shots", "0", "shots must be >= 1, got 0"),
+            ("patience", "0", "patience must be >= 1, got 0"),
+            ("strategy", "foo", "strategy must be one of ('fs', 'zcot', 'fscot'), got 'foo'"),
         ],
     )
     def test_out_of_range_value_names_its_source(self, tmp_path, key, value, message):
         f = tmp_path / "run.cfg"
         f.write_text(f"seed = 3\n{key} = {value}\n")
-        with pytest.raises(DataError, match=f"^{re.escape(str(f))}:2: config: {message}$"):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{f}:2: config: {message}')}$"):
             load_config(f)
         f.write_text("seed = 3\n")
-        with pytest.raises(DataError, match=f"^command line: {message}$"):
+        with pytest.raises(DataError, match=f"^{re.escape(f'command line: {message}')}$"):
             load_config(f, overrides={key: value})
 
+    def test_config_rules_are_the_rules_of_the_code_that_takes_each_value(self, tmp_path):
+        """Every numeric or choice field has a rule and its default passes it;
+        a bad value reads, after its config line or `command line: `, word for
+        word what each library call that takes the value raises."""
+        defaults, bad = RunConfig(), _bad_values()
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        ruled = {name for name in names if getattr(defaults, name) is not None}
+        assert ruled <= config._RULES.keys()
+        for name in ruled:
+            check_values(config._RULES, **{name: getattr(defaults, name)})
+        assert bad.keys() == config._RULES.keys() & names
+        f = tmp_path / "run.cfg"
+        for key, (value, calls) in bad.items():
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            f.write_text("seed = 3\n")
+            with pytest.raises(DataError) as from_flag:
+                load_config(f, overrides={key: text})
+            message = str(from_flag.value).removeprefix("command line: ")
+            assert message.startswith(f"{key} must be ") and message.endswith(f", got {value!r}"), key
+            f.write_text(f"seed = 3\n{key} = {text}\n")
+            with pytest.raises(DataError) as from_line:
+                load_config(f)
+            assert str(from_line.value) == f"{f}:2: config: {message}"
+            for call in calls:
+                with pytest.raises(DataError) as from_library:
+                    call(value)
+                assert str(from_library.value) == message, key
 
-    def test_every_default_passes_its_rule(self):
-        defaults = RunConfig()
-        for field in dataclasses.fields(RunConfig):
-            config._check_range(field.name, getattr(defaults, field.name))
+
+def _bad_values() -> dict:
+    """{config key: (a value outside its rule, the library calls that take the value)}"""
+    params, examples, catalog = model.init_model("base", 4, 2, 2, 2, seed=0), [Example([0], 1)], make_catalog(4)
+
+    def header(key):
+        return lambda v: model.init_model(**{"variant": "base", "n": 4, "d1": 2, "d2": 2, "d": 2, "seed": 0, key: v})
+
+    def schedule(key):
+        return lambda v: fit(examples, [], params.copy(), **{key: v})
+
+    return {
+        "variant": ("fancy", [header("variant")]),
+        "scale": (0.0, [header("scale")]),
+        **{key: (0, [header(key)]) for key in ("d1", "d2", "d")},
+        "seed": (-1, [header("seed"), schedule("seed"), lambda v: ds.split_by_user([], seed=v)]),
+        **{key: (0, [schedule(key)]) for key in ("epochs", "batch_size", "patience", "val_k")},
+        "lr": (-1.0, [schedule("lr")]),
+        "min_item_freq": (0, [lambda v: ds.preprocess([], {}, min_item_freq=v)]),
+        "min_session_len": (1, [lambda v: ds.preprocess([], {}, min_session_len=v)]),
+        "ratios": ((0.9, 0.1), [lambda v: ds.split_by_user([], ratios=v)]),
+        "ks": ((0, 5), [lambda v: evaluate([[1]], [1], ks=v)]),
+        "strategy": ("foo", [lambda v: build_fewshot_strategy(v, [], catalog)]),
+        "shots": (0, [lambda v: build_fewshot_strategy("fs", [], catalog, n_shots=v)]),
+        "endpoint_url": ("file:///x", [HttpClient]),
+        "timeout": (1e10, [lambda v: HttpClient("http://localhost/", timeout=v)]),
+        "max_retries": (0, [lambda v: HttpClient("http://localhost/", max_retries=v)]),
+        "threads": (0, []),  # only the CLI reads it
+    }
 
 
 def write_fixture_dataset(root: Path, n_items=25, n_users=40, seed=0):
@@ -243,7 +298,7 @@ class TestTrainEvalCommands:
         calls = []
 
         def counted(writers, _write=ds.write_outputs):
-            calls.append(sorted(Path(target).name for target in writers))
+            calls.append(sorted(Path(target).name for target, _ in writers))
             return _write(writers)
 
         monkeypatch.setattr(ds, "write_outputs", counted)
@@ -628,13 +683,13 @@ class TestExitCodes:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("variant = base\n")
         assert main(["prompt", "--config", str(cfg), "--strategy", "foo"]) == 2
-        assert capsys.readouterr().err.startswith("error: command line: unknown strategy 'foo'")
+        assert capsys.readouterr().err == "error: command line: strategy must be one of ('fs', 'zcot', 'fscot'), got 'foo'\n"
 
     def test_unknown_variant_flag_is_exit_2_naming_the_command_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("variant = base\n")
         assert main(["train", "--config", str(cfg), "--variant", "fancy"]) == 2
-        assert capsys.readouterr().err == "error: command line: unknown variant 'fancy'\n"
+        assert capsys.readouterr().err == "error: command line: variant must be one of ('base', 'sem-i', 'sem-f'), got 'fancy'\n"
 
     def test_threads_is_a_prompt_flag_only(self):
         """Each command takes only the flags it reads: `--threads` is prompt's,

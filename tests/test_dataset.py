@@ -238,7 +238,7 @@ class TestSplit:
 
     @pytest.mark.parametrize("ratios", [(0.9, 0.1), (1.2, -0.1, -0.1)])
     def test_ratios_must_be_three_non_negative_values(self, ratios):
-        with pytest.raises(DataError, match="^ratios must be three values >= 0 that sum to 1$"):
+        with pytest.raises(DataError, match=f"^{re.escape(f'ratios must be three values >= 0 that sum to 1, got {ratios}')}$"):
             split_by_user(_sessions_for_users(20), ratios=ratios)
 
 
@@ -309,11 +309,11 @@ class TestPersistence:
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            write_outputs({
-                tmp_path / "report.json": partial(write_json, payload={"new": 1}),
-                tmp_path / "ckpt": checkpoint,
-                tmp_path / "made" / "deep" / "cands.jsonl": failing,
-            })
+            write_outputs([
+                (tmp_path / "report.json", partial(write_json, payload={"new": 1})),
+                (tmp_path / "ckpt", checkpoint),
+                (tmp_path / "made" / "deep" / "cands.jsonl", failing),
+            ])
         assert tree(tmp_path) == before
         assert not list(tmp_path.rglob(".*"))
 

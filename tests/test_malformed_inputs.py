@@ -11,6 +11,8 @@ import io
 import json
 import shutil
 import struct
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -359,3 +361,55 @@ def test_eval_that_cannot_write_its_report_leaves_no_candidates(workspace, tmp_p
     code, err = run(command(workspace, "eval")[:-1] + [str(tmp_path / "out"), "--dump-candidates", str(cands)])
     assert_exit_2_naming(code, err, tmp_path / "out" / "report.json")
     assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_dump_candidates_onto_the_report_is_exit_2_leaving_the_tree_as_it_was(workspace, tmp_path, monkeypatch, absolute):
+    """Given relative, the two targets were once one output and the report was
+    lost; given absolute, the second rename failed after the first was done."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "report.json").write_text("old report\n")
+    before = tree(tmp_path)
+    dump = tmp_path / "o" / "report.json" if absolute else Path("o") / "report.json"
+    code, err = run(command(workspace, "eval")[:-1] + ["o", "--dump-candidates", str(dump)])
+    assert_exit_2_naming(code, err, (tmp_path / "o" / "report.json").resolve())
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("line", ["timeout = 1e10", "endpoint_url = localhost:8080/v1/chat", "endpoint_url = file://{reply}",
+                                  "endpoint_url = http://127.0.0.1:99999/"])
+def test_endpoint_that_cannot_be_sent_to_is_exit_2_naming_its_line(workspace, tmp_path, monkeypatch, line):
+    """A timeout past the socket's limit, a URL without a scheme, a local file
+    and a port that the resolver would wrap to another (99999 to 34463) are
+    each refused before any request is made."""
+    opened = []
+
+    def urlopen(*args, **kwargs):
+        opened.append(args)
+        raise urllib.error.URLError("no request may be made")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    (tmp_path / "reply.json").write_text(json.dumps({"text": "thing number 1"}))
+    cfg = workspace / "endpoint.cfg"
+    cfg.write_text(BASE_CFG + "endpoint_url = http://127.0.0.1:9/\n" + line.format(reply=tmp_path / "reply.json") + "\n")
+    code, err = run(["prompt", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    key = line.split(" ")[0]
+    assert_exit_2_naming(code, err, f"{cfg}:{BASE_CFG.count(chr(10)) + 2}: config: {key} must be ")
+    assert not opened and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, what", [("items.jsonl", "metadata"), ("data/catalog.json", "catalog")])
+@pytest.mark.parametrize("price, read", [('"nan"', "'nan'"), ("1e999", "inf")])
+def test_price_that_is_not_finite_is_exit_2_naming_its_line(workspace, name, what, price, read):
+    """NaN and Infinity are not JSON, so no catalog may hold them."""
+    path, before = workspace / name, tree(workspace)
+    lines = before[path].decode().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "price": "?"}).replace('"?"', price)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        code, err = run(command(workspace, INPUTS[name][0]))
+    finally:
+        path.write_bytes(before[path])
+    assert_exit_2_naming(code, err, f"{path}:3: {what}: price must be a finite number, got {read}\n")
+    assert tree(workspace) == before

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ class TestEvaluate:
             evaluate([], [], ks=(20,))
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(DataError, match="k must be >= 1"):
+        with pytest.raises(DataError, match=re.escape("ks must be all >= 1, got (5, 0)")):
             evaluate([[1, 2]], [1], ks=(5, 0))
 
 

@@ -287,10 +287,10 @@ class TestModelParams:
             assert not np.shares_memory(clone.tensors[name], tensor), name
 
     @pytest.mark.parametrize("variant, edit, message", [
-        ("base", {"d1": 0}, "widths d1, d2 and d must be >= 1"),
-        ("base", {"d2": 0}, "widths d1, d2 and d must be >= 1"),
-        ("sem-f", {"d": 0}, "widths d1, d2 and d must be >= 1"),
-        ("base", {"seed": -1}, "seed and step must be >= 0"),
+        ("base", {"d1": 0}, "d1 must be >= 1, got 0"),
+        ("base", {"d2": 0}, "d2 must be >= 1, got 0"),
+        ("sem-f", {"d": 0}, "d must be >= 1, got 0"),
+        ("base", {"seed": -1}, "seed must be >= 0, got -1"),
         ("sem-i", {"table": 4}, "semantic table is 6x4, but the model needs 6x8"),
         ("sem-f", {"table": 4}, "semantic table is 6x4, but the model needs 6x8"),
     ])
@@ -397,7 +397,7 @@ class TestCheckpoints:
         params, _ = small_model("base")
         params.d1, params.tensors = 0, {"item_table": np.zeros((params.n, 0))}
         save_checkpoint(tmp_path / "ckpt", params)
-        with pytest.raises(DataError, match="manifest.json: widths d1, d2 and d must be >= 1"):
+        with pytest.raises(DataError, match="manifest.json: d1 must be >= 1, got 0$"):
             load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("variant", ["base", "sem-f"])

@@ -293,3 +293,22 @@ class TestFit:
         params, _ = build("base")
         with pytest.raises(DataError, match="empty training set"):
             fit([], [], params)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("batch_size", -1, "batch_size must be >= 1, got -1"),
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+        ("patience", 0, "patience must be >= 1, got 0"),
+        ("lr", -1.0, "lr must be finite and positive, got -1.0"),
+        ("lr", math.nan, "lr must be finite and positive, got nan"),
+        ("val_k", 0, "val_k must be >= 1, got 0"),
+    ])
+    def test_schedule_value_outside_its_rule_is_rejected_before_any_step(self, key, value, message):
+        """Each of these once trained silently (a negative batch size, no
+        epoch, gradient ascent) or ended in a bare ValueError."""
+        params, _ = build("base", generic_point=False)
+        before = {k: v.copy() for k, v in params.tensors.items()}
+        with pytest.raises(DataError) as info:
+            fit(tiny_dataset(7, 10, seed=1), tiny_dataset(7, 3, seed=2), params, **{key: value})
+        assert str(info.value) == message
+        assert params.step == 0 and all(np.array_equal(params.tensors[k], v) for k, v in before.items())
