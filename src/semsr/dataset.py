@@ -9,10 +9,11 @@ Input files are JSON-lines:
 
 import json
 import math
+import operator
 import shutil
 import warnings
-from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,107 @@ class Session:
 class Example:
     prefix: list[int]
     target: int
+
+
+def _offsets(lengths) -> np.ndarray:
+    """(m+1,) int64 row offsets of m consecutive runs: run i is [o[i], o[i+1])."""
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Sessions:
+    """Sessions as columns, so a table of m sessions is a few objects, not
+    m: session i holds items[offsets[i]:offsets[i+1]] (the cu_seqlens
+    layout) and belongs to `split`. A raw table (ingest's) holds codes into
+    `vocab`, the external item ids; an indexed one holds catalog indices
+    and no vocab. `t[i]` (an int or np.integer) and iteration build a
+    RawSession or a Session on access; a slice builds a list of them."""
+
+    ids: list[str]
+    users: list[str | None]
+    items: np.ndarray  # (N,) int64
+    offsets: np.ndarray  # (m+1,) int64
+    split: str | None = None
+    vocab: list[str] | None = None
+
+    @classmethod
+    def from_records(cls, records) -> "Sessions":
+        """The table of a list of RawSession records, or of Session records
+        that share one split."""
+        records = list(records)
+        splits = {getattr(r, "split", None) for r in records}
+        if len(splits) > 1:
+            raise DataError(f"a table holds one split, got {sorted(map(str, splits))}")
+        raw = bool(records) and isinstance(records[0], RawSession)
+        vocab: dict[str, int] = {}
+        codes = [vocab.setdefault(i, len(vocab)) if raw else i for r in records for i in r.items]
+        return cls(
+            ids=[r.id for r in records], users=[r.user_id for r in records],
+            items=np.array(codes, dtype=np.int64), offsets=_offsets([len(r.items) for r in records]),
+            split=splits.pop() if splits else None, vocab=list(vocab) if raw else None,
+        )
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = range(len(self))[operator.index(i)]
+        return self._record(i, self.items[self.offsets.item(i) : self.offsets.item(i + 1)].tolist())
+
+    def __iter__(self):
+        flat, bounds = self.items.tolist(), self.offsets.tolist()
+        return (self._record(i, flat[bounds[i] : bounds[i + 1]]) for i in range(len(self)))
+
+    def __eq__(self, other):
+        return isinstance(other, Sessions) and list(self) == list(other)
+
+    def _record(self, i: int, codes: list[int]):
+        if self.vocab is None:
+            return Session(id=self.ids[i], items=codes, user_id=self.users[i], split=self.split)
+        return RawSession(id=self.ids[i], items=[self.vocab[c] for c in codes], user_id=self.users[i])
+
+    def take(self, keep: np.ndarray, split: str | None) -> "Sessions":
+        """The sessions where the (m,) bool `keep` is set, in order, as `split`."""
+        lengths = self.lengths
+        return Sessions(
+            ids=list(compress(self.ids, keep)), users=list(compress(self.users, keep)),
+            items=self.items[np.repeat(keep, lengths)], offsets=_offsets(lengths[keep]), split=split, vocab=self.vocab,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Examples:
+    """(prefix, target) examples as columns over their sessions: example j
+    is the first cut[j] items of sessions[session[j]], and its target the
+    item after them. `t[j]` (an int or np.integer) and iteration build an
+    Example on access; a slice builds a list of them."""
+
+    sessions: Sessions
+    session: np.ndarray  # (E,) int64
+    cut: np.ndarray  # (E,) int64
+
+    def __len__(self) -> int:
+        return len(self.cut)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[k] for k in range(len(self))[j]]
+        start = self.sessions.offsets.item(self.session.item(j))  # .item: Python ints slice fast
+        end = start + self.cut.item(j)
+        return Example(prefix=self.sessions.items[start:end].tolist(), target=self.sessions.items.item(end))
+
+    def __iter__(self):
+        flat = self.sessions.items.tolist()
+        starts = self.sessions.offsets[self.session]
+        return (Example(prefix=flat[a:b], target=flat[b]) for a, b in zip(starts.tolist(), (starts + self.cut).tolist()))
 
 
 @dataclass
@@ -256,65 +358,82 @@ def _session_ids(rec: dict) -> tuple[str, str | None]:
     return _ident(_required(rec, "session_id"), "'session_id'"), None if user in (None, "") else _ident(user, "'user_id'")
 
 
-def _raw_session(line: str) -> RawSession:
-    rec = json_object(line)
-    items = _required(rec, "items")
-    if not isinstance(items, list) or not items:
-        raise DataError("'items' must be a non-empty list")
-    session_id, user_id = _session_ids(rec)
-    return RawSession(id=session_id, items=[_ident(i, "an item") for i in items], user_id=user_id)
-
-
-def ingest_sessions(path) -> list[RawSession]:
-    """Parse a session log file, preserving file order.
+def ingest_sessions(path) -> Sessions:
+    """Parse a session log file into a raw table, preserving file order.
 
     Malformed lines raise DataError naming the line number. Duplicate
     session ids are kept (a warning is emitted).
     """
-    sessions = read_records(path, "session", _raw_session)
-    if not sessions:
+    ids, users, items, vocab = [], [], [], {}
+
+    def parse(line: str) -> int:
+        rec = json_object(line)
+        seq = _required(rec, "items")
+        if not isinstance(seq, list) or not seq:
+            raise DataError("'items' must be a non-empty list")
+        session_id, user_id = _session_ids(rec)
+        items.extend([vocab.setdefault(_ident(i, "an item"), len(vocab)) for i in seq])
+        ids.append(session_id)
+        users.append(user_id)
+        return len(seq)
+
+    lengths = read_records(path, "session", parse)
+    if not lengths:
         raise DataError(f"session file is empty: {path}")
     seen_ids: set[str] = set()
-    for s in sessions:
-        if s.id in seen_ids:
-            warnings.warn(f"{path}: duplicate session_id {s.id}")
-        seen_ids.add(s.id)
-    return sessions
+    for session_id in ids:
+        if session_id in seen_ids:
+            warnings.warn(f"{path}: duplicate session_id {session_id}")
+        seen_ids.add(session_id)
+    return Sessions(ids, users, np.array(items, dtype=np.int64), _offsets(lengths), vocab=list(vocab))
 
 
 def preprocess(
-    sessions: list[RawSession],
+    sessions: Sessions,
     metadata: dict[str, ItemMeta],
     min_item_freq: int = 5,
     min_session_len: int = 2,
-) -> tuple[Catalog, list[Session]]:
-    """Filter rare items and short sessions, then index the survivors.
+) -> tuple[Catalog, Sessions]:
+    """Filter rare items and short sessions of a raw table, then index the
+    survivors.
 
     Items without metadata are dropped up front. Item-frequency and
     session-length filtering interact (removing an item can shorten a
     session below the cutoff, and dropping a session lowers frequencies),
     so the two rules alternate until no item is rare. Removal only shrinks
     the data, so this fixed point does not depend on the order of removal.
+    Both rules are counts over one keep-mask of the flat item codes.
     """
     check_values(RULES, min_item_freq=min_item_freq, min_session_len=min_session_len)
+    codes, vocab, m = sessions.items, sessions.vocab, len(sessions)
 
-    unknown = {i for s in sessions for i in s.items if i not in metadata}
+    known = np.array([i in metadata for i in vocab], dtype=bool)
+    unknown = np.count_nonzero(~known)
     if unknown:
-        warnings.warn(f"dropping {len(unknown)} item ids without metadata")
+        warnings.warn(f"dropping {unknown} item ids without metadata")
 
-    kept = [(s, [i for i in s.items if i in metadata]) for s in sessions]
+    owner = np.repeat(np.arange(m), sessions.lengths)  # the session of each item
+    keep = known[codes]
     while True:
-        kept = [(s, seq) for s, seq in kept if len(seq) >= min_session_len]
-        freq = Counter(i for _, seq in kept for i in seq)
-        if all(c >= min_item_freq for c in freq.values()):
+        lengths = np.bincount(owner[keep], minlength=m)
+        keep &= (lengths >= min_session_len)[owner]
+        freq = np.bincount(codes[keep], minlength=len(vocab))
+        if not np.any((freq > 0) & (freq < min_item_freq)):
             break
-        kept = [(s, [i for i in seq if freq[i] >= min_item_freq]) for s, seq in kept]
+        keep &= (freq >= min_item_freq)[codes]
 
-    if not kept:
+    if not keep.any():
         raise DataError("empty dataset after preprocessing")
 
-    catalog = Catalog(items=[metadata[i] for i in sorted(freq)])
-    return catalog, [Session(id=s.id, items=[catalog.index[i] for i in seq], user_id=s.user_id) for s, seq in kept]
+    order = sorted(np.flatnonzero(freq).tolist(), key=vocab.__getitem__)  # by external id
+    catalog = Catalog(items=[metadata[vocab[c]] for c in order])
+    index = np.zeros(len(vocab), dtype=np.int64)
+    index[order] = np.arange(len(order))
+    alive = lengths >= min_session_len
+    return catalog, Sessions(
+        ids=list(compress(sessions.ids, alive)), users=list(compress(sessions.users, alive)),
+        items=index[codes[keep]], offsets=_offsets(lengths[alive]),
+    )
 
 
 def _apportion(total: int, ratios: tuple[float, ...]) -> list[int]:
@@ -328,60 +447,63 @@ def _apportion(total: int, ratios: tuple[float, ...]) -> list[int]:
 
 
 def split_by_user(
-    sessions: list[Session],
+    sessions: Sessions,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
-) -> tuple[list[Session], list[Session], list[Session]]:
+) -> tuple[Sessions, Sessions, Sessions]:
     """Assign whole users (or sessions, when no user id) to train/val/test.
 
     All sessions sharing a grouping key land in the same split; key counts
     per split stay within one of the exact ratio. Deterministic for a seed.
     """
     check_values(RULES, ratios=ratios, seed=seed)
-    keys = sorted({s.user_id or s.id for s in sessions})
+    group = [user or session_id for user, session_id in zip(sessions.users, sessions.ids)]
+    keys = sorted(set(group))
     if len(keys) < 3:
         raise DataError("need at least 3 grouping keys to split")
     np.random.default_rng(seed).shuffle(keys)
-    names = [split for split, count in zip(SPLITS, _apportion(len(keys), ratios)) for _ in range(count)]
-    assignment = dict(zip(keys, names))
-    buckets: dict[str, list[Session]] = {s: [] for s in SPLITS}
-    for s in sessions:
-        split = assignment[s.user_id or s.id]
-        buckets[split].append(replace(s, split=split))
-    return buckets["train"], buckets["val"], buckets["test"]
+    assignment = dict(zip(keys, (j for j, count in enumerate(_apportion(len(keys), ratios)) for _ in range(count))))
+    which = np.array([assignment[key] for key in group])
+    return tuple(sessions.take(which == j, split) for j, split in enumerate(SPLITS))
 
 
-def _targets(s: Session) -> range:
-    """The target positions of `s`: all but the first in train, else the last."""
-    if s.split not in SPLITS:
-        raise DataError(f"session {s.id} has no split assigned")
-    if len(s.items) < 2:
-        raise DataError(f"session {s.id} shorter than 2 items")
-    return range(1 if s.split == "train" else len(s.items) - 1, len(s.items))
+def _cuts(sessions: Sessions) -> tuple[np.ndarray, np.ndarray]:
+    """The (session, cut) pairs of a split's examples: every cut 1..L-1 of
+    a train session of L items, else only L-1."""
+    if len(sessions) and sessions.split not in SPLITS:
+        raise DataError(f"session {sessions.ids[0]} has no split assigned")
+    lengths = sessions.lengths
+    short = np.flatnonzero(lengths < 2)
+    if short.size:
+        raise DataError(f"session {sessions.ids[short[0]]} shorter than 2 items")
+    if sessions.split != "train":
+        return np.arange(len(sessions)), lengths - 1
+    session = np.repeat(np.arange(len(sessions)), lengths - 1)
+    first = np.repeat(_offsets(lengths - 1)[:-1], lengths - 1)  # each example's session's first example
+    return session, np.arange(len(session)) - first + 1
 
 
-def expand_incremental(sessions: list[Session]) -> list[Example]:
+def expand_incremental(sessions: Sessions) -> Examples:
     """Expand sessions into (prefix, target) examples.
 
     Training sessions (i1..im) yield all m-1 incremental prefixes; val and
     test sessions yield a single example with the last item as target.
     """
-    return [Example(prefix=s.items[:k], target=s.items[k]) for s in sessions for k in _targets(s)]
+    return Examples(sessions, *_cuts(sessions))
 
 
-def dataset_manifest(catalog: Catalog, splits: dict[str, list[Session]], seed: int) -> dict:
+def dataset_manifest(catalog: Catalog, splits: dict[str, Sessions], seed: int) -> dict:
     """Summary statistics of a preprocessed dataset (counts and avg length)."""
-    all_sessions = [s for part in splits.values() for s in part]
-    avg_len = sum(len(s.items) for s in all_sessions) / len(all_sessions)
+    n_sessions = sum(len(part) for part in splits.values())
     manifest = {
         "n_items": catalog.n,
-        "avg_session_len": avg_len,
+        "avg_session_len": sum(int(part.offsets[-1]) for part in splits.values()) / n_sessions,
         "seed": seed,
     }
     for name in SPLITS:
-        part = splits.get(name, [])
+        part = splits.get(name, Sessions.from_records([]))
         manifest[f"n_{name}"] = len(part)
-        manifest[f"n_{name}_examples"] = sum(len(_targets(s)) for s in part)
+        manifest[f"n_{name}_examples"] = len(_cuts(part)[1])
     return manifest
 
 
@@ -416,16 +538,17 @@ def load_catalog(path) -> Catalog:
     return Catalog(items=read_records(path, "catalog", parse))
 
 
-def save_sessions(path, sessions: list[Session]) -> None:
+def save_sessions(path, sessions: Sessions) -> None:
     write_records(path, ({"session_id": s.id, "user_id": s.user_id, "items": s.items, "split": s.split} for s in sessions))
 
 
-def load_sessions(path, n: int, split: str) -> list[Session]:
+def load_sessions(path, n: int, split: str) -> Sessions:
     """Read the `split` file written by save_sessions over a catalog of n
     items; a session with an item outside 0..n-1, or with a "split" that
     differs from `split`, is an error naming its line."""
+    ids, users, flat = [], [], []
 
-    def parse(line: str) -> Session:
+    def parse(line: str) -> int:
         rec = json_object(line)
         own = rec.get("split")
         if own not in (None, split):
@@ -436,6 +559,10 @@ def load_sessions(path, n: int, split: str) -> list[Session]:
         if not 0 <= min(items) <= max(items) < n:
             raise DataError(f"item outside the catalog's 0..{n - 1}")
         session_id, user_id = _session_ids(rec)
-        return Session(id=session_id, items=items, user_id=user_id, split=split)
+        ids.append(session_id)
+        users.append(user_id)
+        flat.extend(items)
+        return len(items)
 
-    return read_records(path, "session", parse)
+    lengths = read_records(path, "session", parse)
+    return Sessions(ids, users, np.array(flat, dtype=np.int64), _offsets(lengths), split=split)

@@ -30,7 +30,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .dataset import Catalog, Session, read_json, read_text
+from .dataset import Catalog, Sessions, read_json, read_text
 from .embeddings import _encode_rows, encode_text
 from .errors import DataError, GenerationError, check_values
 from .retrieval import RankedList, VectorIndex, build_index, query
@@ -197,7 +197,7 @@ class HttpClient:
 
 def build_fewshot_strategy(
     kind: str,
-    train_sessions: list[Session],
+    train_sessions: Sessions,
     catalog: Catalog,
     n_shots: int = 3,
     seed: int = 0,
@@ -207,14 +207,14 @@ def build_fewshot_strategy(
     check_values(RULES, strategy=kind, shots=n_shots)
     if kind == "zcot":
         return PromptStrategy(kind="zcot")
-    usable = [s for s in train_sessions if len(s.items) >= 2]
-    if not usable:
+    usable = np.flatnonzero(train_sessions.lengths >= 2)
+    if not usable.size:
         raise DataError("no training sessions available for few-shot examples")
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(usable), size=min(n_shots, len(usable)), replace=False)
     shots = []
     for i in sorted(int(p) for p in picks):
-        s = usable[i]
+        s = train_sessions[usable[i]]
         shots.append(([catalog.title(j) for j in s.items[:-1]], catalog.title(s.items[-1])))
     return PromptStrategy(kind=kind, shots=shots)
 

@@ -23,9 +23,9 @@ def target_rank(ranked, target: int) -> int:
 
 
 def recall_at_k(ranked, target: int, k: int) -> int:
-    """1 if the target appears within the first k entries, else 0."""
-    if k < 1:
-        raise DataError("k must be >= 1")
+    """1 if the target appears within the first k entries, else 0; k
+    follows `evaluate`'s rule for each of its ks."""
+    check_values(RULES, ks=(k,))
     return int(0 < target_rank(ranked, target) <= k)
 
 

@@ -2,11 +2,33 @@
 the vectorized code paths. Everything here sticks to plain Python floats
 and lists on purpose, except the PCA reference, which needs an SVD, and
 the one-pass NumPy forms of the row-blocked kernels, which the blocked
-ones must equal bit for bit; none of it shares code with the package."""
+ones must equal bit for bit. None of it shares code with the package,
+except the list-of-records dataset pipeline at the end (ingest_sessions
+to dataset_manifest, the columnar tables' reference), which reads lines
+and states value rules with the package's own helpers and record types."""
 
 import math
+import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
+
+from semsr.dataset import (
+    RULES,
+    SPLITS,
+    Catalog,
+    Example,
+    ItemMeta,
+    RawSession,
+    Session,
+    _ident,
+    _required,
+    _session_ids,
+    json_object,
+    read_records,
+)
+from semsr.errors import DataError, check_values
 
 
 def sigmoid_scalar(x: float) -> float:
@@ -197,3 +219,136 @@ def rr_at_k(items, target: int, k: int) -> float:
 
 def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+# The list-of-records dataset pipeline the columnar tables replace, one
+# record object per session and per example.
+
+
+def _raw_session(line: str) -> RawSession:
+    rec = json_object(line)
+    items = _required(rec, "items")
+    if not isinstance(items, list) or not items:
+        raise DataError("'items' must be a non-empty list")
+    session_id, user_id = _session_ids(rec)
+    return RawSession(id=session_id, items=[_ident(i, "an item") for i in items], user_id=user_id)
+
+
+def ingest_sessions(path) -> list[RawSession]:
+    """Parse a session log file, preserving file order.
+
+    Malformed lines raise DataError naming the line number. Duplicate
+    session ids are kept (a warning is emitted).
+    """
+    sessions = read_records(path, "session", _raw_session)
+    if not sessions:
+        raise DataError(f"session file is empty: {path}")
+    seen_ids: set[str] = set()
+    for s in sessions:
+        if s.id in seen_ids:
+            warnings.warn(f"{path}: duplicate session_id {s.id}")
+        seen_ids.add(s.id)
+    return sessions
+
+
+def preprocess(
+    sessions: list[RawSession],
+    metadata: dict[str, ItemMeta],
+    min_item_freq: int = 5,
+    min_session_len: int = 2,
+) -> tuple[Catalog, list[Session]]:
+    """Filter rare items and short sessions, then index the survivors.
+
+    Items without metadata are dropped up front. Item-frequency and
+    session-length filtering interact (removing an item can shorten a
+    session below the cutoff, and dropping a session lowers frequencies),
+    so the two rules alternate until no item is rare. Removal only shrinks
+    the data, so this fixed point does not depend on the order of removal.
+    """
+    check_values(RULES, min_item_freq=min_item_freq, min_session_len=min_session_len)
+
+    unknown = {i for s in sessions for i in s.items if i not in metadata}
+    if unknown:
+        warnings.warn(f"dropping {len(unknown)} item ids without metadata")
+
+    kept = [(s, [i for i in s.items if i in metadata]) for s in sessions]
+    while True:
+        kept = [(s, seq) for s, seq in kept if len(seq) >= min_session_len]
+        freq = Counter(i for _, seq in kept for i in seq)
+        if all(c >= min_item_freq for c in freq.values()):
+            break
+        kept = [(s, [i for i in seq if freq[i] >= min_item_freq]) for s, seq in kept]
+
+    if not kept:
+        raise DataError("empty dataset after preprocessing")
+
+    catalog = Catalog(items=[metadata[i] for i in sorted(freq)])
+    return catalog, [Session(id=s.id, items=[catalog.index[i] for i in seq], user_id=s.user_id) for s, seq in kept]
+
+
+def _apportion(total: int, ratios: tuple[float, ...]) -> list[int]:
+    # Largest-remainder apportionment; ties go to the earlier split.
+    base = [math.floor(r * total) for r in ratios]
+    rem = total - sum(base)
+    fractions = sorted(range(len(ratios)), key=lambda i: (-(ratios[i] * total - base[i]), i))
+    for i in fractions[:rem]:
+        base[i] += 1
+    return base
+
+
+def split_by_user(
+    sessions: list[Session],
+    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    seed: int = 0,
+) -> tuple[list[Session], list[Session], list[Session]]:
+    """Assign whole users (or sessions, when no user id) to train/val/test.
+
+    All sessions sharing a grouping key land in the same split; key counts
+    per split stay within one of the exact ratio. Deterministic for a seed.
+    """
+    check_values(RULES, ratios=ratios, seed=seed)
+    keys = sorted({s.user_id or s.id for s in sessions})
+    if len(keys) < 3:
+        raise DataError("need at least 3 grouping keys to split")
+    np.random.default_rng(seed).shuffle(keys)
+    names = [split for split, count in zip(SPLITS, _apportion(len(keys), ratios)) for _ in range(count)]
+    assignment = dict(zip(keys, names))
+    buckets: dict[str, list[Session]] = {s: [] for s in SPLITS}
+    for s in sessions:
+        split = assignment[s.user_id or s.id]
+        buckets[split].append(replace(s, split=split))
+    return buckets["train"], buckets["val"], buckets["test"]
+
+
+def _targets(s: Session) -> range:
+    """The target positions of `s`: all but the first in train, else the last."""
+    if s.split not in SPLITS:
+        raise DataError(f"session {s.id} has no split assigned")
+    if len(s.items) < 2:
+        raise DataError(f"session {s.id} shorter than 2 items")
+    return range(1 if s.split == "train" else len(s.items) - 1, len(s.items))
+
+
+def expand_incremental(sessions: list[Session]) -> list[Example]:
+    """Expand sessions into (prefix, target) examples.
+
+    Training sessions (i1..im) yield all m-1 incremental prefixes; val and
+    test sessions yield a single example with the last item as target.
+    """
+    return [Example(prefix=s.items[:k], target=s.items[k]) for s in sessions for k in _targets(s)]
+
+
+def dataset_manifest(catalog: Catalog, splits: dict[str, list[Session]], seed: int) -> dict:
+    """Summary statistics of a preprocessed dataset (counts and avg length)."""
+    all_sessions = [s for part in splits.values() for s in part]
+    avg_len = sum(len(s.items) for s in all_sessions) / len(all_sessions)
+    manifest = {
+        "n_items": catalog.n,
+        "avg_session_len": avg_len,
+        "seed": seed,
+    }
+    for name in SPLITS:
+        part = splits.get(name, [])
+        manifest[f"n_{name}"] = len(part)
+        manifest[f"n_{name}_examples"] = sum(len(_targets(s)) for s in part)
+    return manifest

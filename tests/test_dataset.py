@@ -1,18 +1,26 @@
+import gc
 import json
 import re
+import tempfile
+import types
 import warnings
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from helpers import tree
+from semsr import dataset
 from semsr.dataset import (
+    SPLITS,
     RawSession,
     Session,
+    Sessions,
     dataset_manifest,
     expand_incremental,
     ingest_sessions,
@@ -120,7 +128,7 @@ class TestPreprocess:
         assert sig.parameters["min_session_len"].default == 2
 
     def test_nothing_filtered_at_threshold_one(self):
-        sessions = [RawSession(id="s", items=["a", "b"])]
+        sessions = Sessions.from_records([RawSession(id="s", items=["a", "b"])])
         meta = {m["id"]: _meta(m) for m in metadata_records(["a", "b"])}
         catalog, out = preprocess(sessions, meta, min_item_freq=1, min_session_len=2)
         assert catalog.n == 2
@@ -130,7 +138,7 @@ class TestPreprocess:
         # item "x" appears 4 times; everything else is frequent
         seqs = [["a", "b", "x"], ["a", "b"], ["a", "b", "x"], ["a", "x", "b"],
                 ["x", "c"], ["a", "c"], ["b", "c"], ["a", "c"], ["b", "c"], ["a", "b"]]
-        sessions = [RawSession(id=f"s{i}", items=s) for i, s in enumerate(seqs)]
+        sessions = Sessions.from_records([RawSession(id=f"s{i}", items=s) for i, s in enumerate(seqs)])
         meta = {m["id"]: _meta(m) for m in metadata_records(["a", "b", "c", "x"])}
         catalog, out = preprocess(sessions, meta, min_item_freq=5, min_session_len=2)
         assert "x" not in catalog.index
@@ -149,7 +157,7 @@ class TestPreprocess:
         """Items i0..i{n_known-1} have metadata; the filter's output is the
         brute-force fixed point over the sessions restricted to them."""
         ids = [[f"i{x}" for x in seq] for seq in seqs]
-        sessions = [RawSession(id=f"s{j}", items=seq) for j, seq in enumerate(ids)]
+        sessions = Sessions.from_records([RawSession(id=f"s{j}", items=seq) for j, seq in enumerate(ids)])
         meta = {m["id"]: _meta(m) for m in metadata_records([f"i{x}" for x in range(n_known)])}
         expected = brute_force_filter([[i for i in seq if i in meta] for seq in ids], min_freq, min_len)
         with warnings.catch_warnings():
@@ -163,13 +171,13 @@ class TestPreprocess:
         assert [[catalog.items[i].id for i in s.items] for s in out] == expected
 
     def test_all_filtered_is_an_error(self):
-        sessions = [RawSession(id="s", items=["a", "b"])]
+        sessions = Sessions.from_records([RawSession(id="s", items=["a", "b"])])
         meta = {m["id"]: _meta(m) for m in metadata_records(["a", "b"])}
         with pytest.raises(DataError, match="empty dataset"):
             preprocess(sessions, meta, min_item_freq=3, min_session_len=2)
 
     def test_unknown_items_dropped_with_warning(self):
-        sessions = [RawSession(id="s", items=["a", "ghost", "b"])]
+        sessions = Sessions.from_records([RawSession(id="s", items=["a", "ghost", "b"])])
         meta = {m["id"]: _meta(m) for m in metadata_records(["a", "b"])}
         with pytest.warns(UserWarning, match="without metadata"):
             catalog, out = preprocess(sessions, meta, min_item_freq=1, min_session_len=2)
@@ -188,7 +196,7 @@ def _sessions_for_users(n_users, per_user=1):
     for u in range(n_users):
         for s in range(per_user):
             out.append(Session(id=f"u{u}-s{s}", items=[0, 1], user_id=f"u{u}"))
-    return out
+    return Sessions.from_records(out)
 
 
 class TestSplit:
@@ -220,7 +228,7 @@ class TestSplit:
 
     def test_assignment_is_pinned_for_a_seed(self):
         # recorded from the reference implementation: 12 keys at 0.6/0.2/0.2 apportion to 7/3/2
-        sessions = _sessions_for_users(7, per_user=2) + [Session(id=f"anon{j}", items=[1, 0]) for j in range(5)]
+        sessions = Sessions.from_records([*_sessions_for_users(7, per_user=2), *(Session(id=f"anon{j}", items=[1, 0]) for j in range(5))])
         parts = split_by_user(sessions, ratios=(0.6, 0.2, 0.2), seed=4)
         assert [[s.id for s in part] for part in parts] == [
             ["u2-s0", "u2-s1", "u3-s0", "u3-s1", "u4-s0", "u4-s1", "u5-s0", "u5-s1", "anon0", "anon1", "anon2"],
@@ -245,26 +253,127 @@ class TestSplit:
 class TestExpand:
     def test_train_session_expands_incrementally(self):
         s = Session(id="s", items=[4, 7, 9], split="train")
-        got = expand_incremental([s])
+        got = expand_incremental(Sessions.from_records([s]))
         assert [(e.prefix, e.target) for e in got] == [([4], 7), ([4, 7], 9)]
 
     def test_test_session_yields_one_example(self):
         s = Session(id="s", items=[4, 7, 9], split="test")
-        got = expand_incremental([s])
+        got = expand_incremental(Sessions.from_records([s]))
         assert [(e.prefix, e.target) for e in got] == [([4, 7], 9)]
 
     def test_expansion_count_matches_summation(self):
         rng = np.random.default_rng(1)
-        sessions = [
+        sessions = Sessions.from_records([
             Session(id=f"s{i}", items=[int(x) for x in rng.integers(0, 50, size=rng.integers(2, 12))], split="train")
             for i in range(100)
-        ]
+        ])
         got = expand_incremental(sessions)
         assert len(got) == sum(len(s.items) - 1 for s in sessions)
 
     def test_unsplit_session_rejected(self):
         with pytest.raises(DataError, match="no split"):
-            expand_incremental([Session(id="s", items=[1, 2])])
+            expand_incremental(Sessions.from_records([Session(id="s", items=[1, 2])]))
+
+
+ITEM_IDS = ["a", "b", "c", "d", "e", "f", 7, 8, "9"]  # JSON integers ingest as their digits
+
+
+def _log_record(session_id, user, items):
+    rec = {"session_id": session_id, "items": items}
+    if user != "absent":
+        rec["user_id"] = user
+    return rec
+
+
+def _pipeline(steps, path, metadata, min_freq, min_len, seed):
+    """(catalog ids, every split's (id, items, user, split), every
+    example, manifest) through `steps`, the module holding the five
+    pipeline functions, or the DataError text; and the warning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            catalog, processed = steps.preprocess(steps.ingest_sessions(path), metadata, min_freq, min_len)
+            parts = steps.split_by_user(processed, seed=seed)
+        except DataError as exc:
+            return str(exc), [str(w.message) for w in caught]
+    examples = [list(steps.expand_incremental(part)) for part in parts]
+    rows = [[(s.id, s.items, s.user_id, s.split) for s in part] for part in parts]
+    manifest = steps.dataset_manifest(catalog, dict(zip(SPLITS, parts)), seed)
+    return ([m.id for m in catalog.items], rows, examples, manifest), [str(w.message) for w in caught]
+
+
+class TestColumnarAgainstRecords:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log=st.lists(
+            st.tuples(
+                st.sampled_from(["s0", "s1", "s2", "s3", "s4", "s5", "s6", 7]),  # repeated session ids
+                st.sampled_from(["u0", "u1", "u2", 3, "", None, "absent"]),  # shared, empty or missing users
+                st.lists(st.sampled_from(ITEM_IDS), min_size=1, max_size=7),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        described=st.sets(st.sampled_from([str(i) for i in ITEM_IDS]), min_size=1),  # the rest lack metadata
+        min_freq=st.integers(1, 3),
+        min_len=st.integers(2, 4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_tables_give_the_record_pipeline_outputs(self, log, described, min_freq, min_len, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, items = Path(tmp) / "sessions.jsonl", Path(tmp) / "items.jsonl"
+            write_jsonl(path, [_log_record(*entry) for entry in log])
+            write_jsonl(items, metadata_records(sorted(described)))
+            metadata = load_metadata(items)
+            expected = _pipeline(oracles, path, metadata, min_freq, min_len, seed)
+            got = _pipeline(dataset, path, metadata, min_freq, min_len, seed)
+            assert got == expected
+            if isinstance(got[0], tuple):  # indexing builds what iteration builds
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    _, processed = preprocess(ingest_sessions(path), metadata, min_freq, min_len)
+                for part in split_by_user(processed, seed=seed):
+                    examples = expand_incremental(part)
+                    assert [part[np.int64(i)] for i in range(len(part))] == list(part)
+                    assert [examples[np.int64(j)] for j in range(len(examples))] == list(examples)
+
+
+def _tracked_held(root) -> int:
+    """The GC-tracked objects reachable from `root`, leaving out types,
+    modules and functions (the code, not the data)."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        count += gc.is_tracked(obj)
+        stack.extend(gc.get_referents(obj))
+    return count
+
+
+def test_pipeline_outputs_hold_as_many_tracked_objects_at_any_size(tmp_path):
+    """The cyclic collector walks every tracked object it finds alive, so
+    tables whose object count grows with the log would make each full
+    collection cost more per session ingested."""
+
+    def held(n_sessions: int) -> int:
+        rng = np.random.default_rng(0)
+        write_jsonl(tmp_path / "items.jsonl", metadata_records([f"i{j}" for j in range(50)]))
+        write_jsonl(tmp_path / "sessions.jsonl", [
+            {"session_id": f"s{k}", "user_id": f"u{k % 97}", "items": [f"i{j}" for j in rng.integers(0, 50, size=rng.integers(2, 8))]}
+            for k in range(n_sessions)
+        ])
+        raw = ingest_sessions(tmp_path / "sessions.jsonl")
+        catalog, processed = preprocess(raw, load_metadata(tmp_path / "items.jsonl"), min_item_freq=1)
+        assert catalog.n == 50
+        parts = split_by_user(processed, seed=0)
+        outputs = [raw, catalog, processed, parts, [expand_incremental(part) for part in parts]]
+        gc.collect()
+        return _tracked_held(outputs)
+
+    small, large = held(500), held(5000)
+    assert abs(large - small) <= 10, (small, large)
 
 
 class TestPersistence:
@@ -336,7 +445,7 @@ class TestPersistence:
         assert message in str(info.value)
 
     def test_sessions_roundtrip(self, tmp_path):
-        sessions = [Session(id="a", items=[0, 1, 2], user_id="u", split="train")]
+        sessions = Sessions.from_records([Session(id="a", items=[0, 1, 2], user_id="u", split="train")])
         save_sessions(tmp_path / "train.jsonl", sessions)
         back = load_sessions(tmp_path / "train.jsonl", 3, split="train")
         assert back == sessions
@@ -350,9 +459,9 @@ class TestPersistence:
 
     def test_manifest_counts(self):
         splits = {
-            "train": [Session(id="a", items=[0, 1, 2], split="train"), Session(id="b", items=[0, 1], split="train")],
-            "val": [Session(id="c", items=[1, 2], split="val")],
-            "test": [Session(id="d", items=[2, 0, 1, 2], split="test")],
+            "train": Sessions.from_records([Session(id="a", items=[0, 1, 2], split="train"), Session(id="b", items=[0, 1], split="train")]),
+            "val": Sessions.from_records([Session(id="c", items=[1, 2], split="val")]),
+            "test": Sessions.from_records([Session(id="d", items=[2, 0, 1, 2], split="test")]),
         }
         from helpers import make_catalog
 

@@ -7,7 +7,7 @@ import pytest
 from helpers import make_catalog, serving
 from oracles import index_one_pass
 from semsr import dataset as ds
-from semsr.dataset import Session
+from semsr.dataset import Session, Sessions
 from semsr.embeddings import encode_text, pseudo_semantic_table
 from semsr.errors import DataError, GenerationError
 from semsr.llm import (
@@ -82,7 +82,7 @@ class TestStrategyInvariants:
             PromptStrategy(kind="one-shot")
 
     def test_sampling_from_train_split(self):
-        sessions = [Session(id=f"s{i}", items=[i % 5, (i + 1) % 5, (i + 2) % 5], split="train") for i in range(10)]
+        sessions = Sessions.from_records([Session(id=f"s{i}", items=[i % 5, (i + 1) % 5, (i + 2) % 5], split="train") for i in range(10)])
         catalog = make_catalog(5)
         a = build_fewshot_strategy("fscot", sessions, catalog, n_shots=3, seed=4)
         b = build_fewshot_strategy("fscot", sessions, catalog, n_shots=3, seed=4)

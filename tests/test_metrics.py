@@ -35,6 +35,14 @@ class TestRecall:
             rank = scan_rank(items[:k], target)
             assert recall_at_k(items, target, k) == (1 if rank else 0)
 
+    def test_k_below_one_reads_as_evaluate_reads_it(self):
+        """One rule for K: a single list and a batch refuse K = 0 in one text."""
+        with pytest.raises(DataError) as single:
+            recall_at_k([1, 2], 1, 0)
+        with pytest.raises(DataError) as batch:
+            evaluate([[1, 2]], [1], ks=(0,))
+        assert str(single.value) == str(batch.value) == "ks must be all >= 1, got (0,)"
+
 
 class TestTargetRank:
     def test_matches_scan_oracle(self):
