@@ -17,18 +17,27 @@ s' = 0 and the output is W3 [0; e_L].
 
 Every encoder works on a packed batch: rows (R, w) hold the real rows of
 B prefixes back to back, `lengths` (B,) rows each, and each prefix's
-query is its own last row. There is no padding: the W1/W2/W3 products
-and the sigmoid run on the head rows (H, w) and the query rows (B, w)
-as 2-D GEMMs, only the (H,) raw weights are laid out (B, max L-1) for
-the softmax, and s' is a segment sum over each prefix's head rows. A
-prefix of length 1 has no head rows and gets s' = 0.
+query is its own last row. attention_forward takes those rows as
+table[items], the packed item indices (R,) and the table they index, and
+gathers the head rows (H, w) and query rows (B, w) from the table itself.
+There is no padding: the W1/W2/W3 products and the sigmoid run on those
+rows as 2-D GEMMs, only the (H,) raw weights are laid out (B, max L-1)
+for the softmax, and s' is a segment sum over each prefix's head rows. A
+prefix of length 1 has no head rows and gets s' = 0. The W2 product, a
+row-wise map, runs once per distinct head item and is gathered back to
+the head rows: the semantic view's prefixes repeat items of one frozen
+table, while the backbone passes items = arange(R) over its own rows, so
+its products are exactly the per-row ones.
 
 Weights are plain dicts of named tensors (init_attention_tensors; a
 backbone names its own). Forward passes return caches consumed by the
-matching backward passes, which return weight gradients summed over the
-batch and one gradient per input row. Gradients are derived by hand (no
-autodiff anywhere in the package); softmax and normalize_rows with its
-Jacobian are written once, here, and shared with the scoring side.
+matching backward passes. The attention's backward has two halves:
+attention_backward gives the weight gradients summed over the batch and
+the pieces attention_rows_backward turns into one gradient per input row,
+which only a trainable table asks for (the frozen semantic table never
+does). Gradients are derived by hand (no autodiff anywhere in the
+package); softmax and normalize_rows with its Jacobian are written once,
+here, and shared with the scoring side.
 
 Row-wise chains (softmax, normalize_rows and its backward; in train the
 cross-entropy and Adam) run whole per row_blocks slice of about BLOCK_BYTES,
@@ -45,9 +54,13 @@ from .errors import DataError, NumericError
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # Piecewise form avoids overflow in exp for large |x|: 1 / (1 + e^-x)
-    # for x >= 0 and e^x / (1 + e^x) below, both with e = exp(-|x|).
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # for x >= 0 and e^x / (1 + e^x) below, both with e = exp(-|x|). As
+    # e <= 1, max(e, x >= 0) is that numerator (NaN stays NaN), so two
+    # arrays carry the whole chain and x is left as it was.
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    top = np.maximum(e, x >= 0)
+    return np.divide(top, np.add(e, 1.0, out=e), out=top)
 
 
 BLOCK_BYTES = 1 << 18  # float64 bytes per row block: well inside a 1-2 MB L2 cache
@@ -92,10 +105,11 @@ def _segment_sum(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.array([x[end - size : end].sum(axis=0) for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist())])
 
 
-def attention_forward(rows: np.ndarray, p: dict[str, np.ndarray], lengths: np.ndarray):
+def attention_forward(items: np.ndarray, table: np.ndarray, p: dict[str, np.ndarray], lengths: np.ndarray):
     """Run the attention encoder with weights `p` (as from
-    init_attention_tensors) over packed prefix rows (R, w), `lengths` (B,)
-    rows per prefix.
+    init_attention_tensors) over the packed prefix rows table[items] (R, w),
+    `lengths` (B,) rows per prefix. The head rows' W2 product is taken once
+    per distinct item of `items` and gathered back.
 
     Returns (out (B, w), alphas (H,), cache); alphas are packed like the
     head rows, each prefix's L-1 weights back to back.
@@ -105,8 +119,10 @@ def attention_forward(rows: np.ndarray, p: dict[str, np.ndarray], lengths: np.nd
     seg = np.repeat(np.arange(len(sizes)), n_head)  # (H,): each head row's prefix
     last_idx = np.cumsum(sizes) - 1  # (B,): each query row
     head_idx = np.arange(len(seg)) + seg  # (H,): prefix b's head rows sit after b query rows
-    head, last = rows[head_idx], rows[last_idx]  # (H, w), (B, w)
-    h = sigmoid(head @ p["W2"].T + (last @ p["W1"].T + p["c"])[seg])  # (H, w)
+    head_items = items[head_idx]
+    distinct, inverse = np.unique(head_items, return_inverse=True)  # head_items == distinct[inverse]
+    head, last = table[head_items], table[items[last_idx]]  # (H, w), (B, w)
+    h = sigmoid((table[distinct] @ p["W2"].T)[inverse] + (last @ p["W1"].T + p["c"])[seg])  # (H, w)
     pos = head_idx - (last_idx - n_head)[seg]  # (H,): place in its head
     raw = np.full((len(sizes), n_head.max()), -np.inf)
     raw[seg, pos] = h @ p["q"]
@@ -119,26 +135,35 @@ def attention_forward(rows: np.ndarray, p: dict[str, np.ndarray], lengths: np.nd
 
 
 def attention_backward(cache: dict, d_out: np.ndarray):
-    """Backward pass of attention_forward.
+    """Weight half of attention_forward's backward pass.
 
-    Returns (grads, d_rows): grads maps q/c/W1/W2/W3 to their gradients
-    summed over the batch, and d_rows (R, w) is the gradient with respect
-    to the packed input rows.
+    Returns (grads, pieces): grads maps q/c/W1/W2/W3 to their gradients
+    summed over the batch; pieces (dcat (B, 2w), du (H, w), du_sum (B, w))
+    are what attention_rows_backward needs for the input rows' gradient.
     """
     p, head, last, h, alphas, seg = (cache[k] for k in ("params", "head", "last", "h", "alphas", "seg"))
     w = head.shape[1]
     dcat = d_out @ p["W3"]  # (B, 2w)
-    ds_prime = dcat[:, :w]
-    dalphas = np.einsum("ij,ij->i", head, ds_prime[seg])  # (H,)
+    dalphas = np.einsum("ij,ij->i", head, dcat[:, :w][seg])  # (H,)
     # softmax jacobian, per prefix: da = alpha * (dalpha - <alpha, dalpha>)
     draw = alphas * (dalphas - _segment_sum(alphas * dalphas, cache["n_head"])[seg])
     du = draw[:, None] * p["q"] * h * (1.0 - h)  # (H, w)
     du_sum = _segment_sum(du, cache["n_head"])  # (B, w)
     grads = {"q": draw @ h, "c": du_sum.sum(axis=0), "W1": du_sum.T @ last, "W2": du.T @ head, "W3": d_out.T @ cache["cat"]}
-    d_rows = np.empty((len(head) + len(last), w))
-    d_rows[cache["head_idx"]] = alphas[:, None] * ds_prime[seg] + du @ p["W2"]
+    return grads, {"dcat": dcat, "du": du, "du_sum": du_sum}
+
+
+def attention_rows_backward(cache: dict, pieces: dict) -> np.ndarray:
+    """Row half of attention_forward's backward pass: the gradient (R, w)
+    with respect to the packed input rows, from attention_backward's pieces.
+    Only a trainable table needs it; the frozen semantic table skips it."""
+    p, alphas, seg = cache["params"], cache["alphas"], cache["seg"]
+    dcat, du, du_sum = pieces["dcat"], pieces["du"], pieces["du_sum"]
+    w = du.shape[1]
+    d_rows = np.empty((len(seg) + len(dcat), w))
+    d_rows[cache["head_idx"]] = alphas[:, None] * dcat[:, :w][seg] + du @ p["W2"]
     d_rows[cache["last_idx"]] = dcat[:, w:] + du_sum @ p["W1"]
-    return grads, d_rows
+    return d_rows
 
 
 def normalize_rows(rows: np.ndarray, what: str):
@@ -185,14 +210,15 @@ class AttnNiserBackbone:
     @staticmethod
     def forward(raw_rows: np.ndarray, tensors: dict[str, np.ndarray], lengths: np.ndarray):
         v, norms = normalize_rows(raw_rows, "trainable item table")
-        z, _, attn_cache = attention_forward(v, tensors, lengths)
+        z, _, attn_cache = attention_forward(np.arange(len(v)), v, tensors, lengths)
         s_m, z_norm = normalize_rows(z, "backbone output")
         return s_m, {"attn": attn_cache, "v": v, "norms": norms, "z_norm": z_norm, "s_m": s_m}
 
     @staticmethod
     def backward(cache: dict, d_out: np.ndarray):
         dz = normalize_rows_backward(cache["s_m"], cache["z_norm"], d_out)
-        grads, dv = attention_backward(cache["attn"], dz)
+        grads, pieces = attention_backward(cache["attn"], dz)
+        dv = attention_rows_backward(cache["attn"], pieces)
         return grads, normalize_rows_backward(cache["v"], cache["norms"], dv)
 
 

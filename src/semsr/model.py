@@ -173,7 +173,7 @@ class Scorer:
         _check_finite("session embedding s_m", S_m)
         cache = {"idx": idx, "bb": bb_cache}
         if params.variant == "sem-f":
-            S_l, _, cache["attn"] = attention_forward(self.semantic.matrix[idx], params.scoped("attn."), lengths)
+            S_l, _, cache["attn"] = attention_forward(idx, self.semantic.matrix, params.scoped("attn."), lengths)
             _check_finite("session embedding s_l", S_l)
             cache["cat"] = np.concatenate([S_m, S_l], axis=1)  # (B, d1+d2)
             S = _check_finite("fused session embedding", cache["cat"] @ params.tensors["W4"].T)

@@ -3,9 +3,11 @@ the vectorized code paths. Everything here sticks to plain Python floats
 and lists on purpose, except the PCA reference, which needs an SVD, and
 the one-pass NumPy forms of the row-blocked kernels, which the blocked
 ones must equal bit for bit. None of it shares code with the package,
-except the list-of-records dataset pipeline at the end (ingest_sessions
-to dataset_manifest, the columnar tables' reference), which reads lines
-and states value rules with the package's own helpers and record types."""
+except the packed-rows attention (every head row projected, the backward
+in one piece), which sums segments with the package's `_segment_sum`, and
+the list-of-records dataset pipeline at the end (ingest_sessions to
+dataset_manifest, the columnar tables' reference), which reads lines and
+states value rules with the package's own helpers and record types."""
 
 import math
 import warnings
@@ -28,6 +30,7 @@ from semsr.dataset import (
     json_object,
     read_records,
 )
+from semsr.encoder import _segment_sum
 from semsr.errors import DataError, check_values
 
 
@@ -154,6 +157,51 @@ def index_one_pass(rows) -> np.ndarray:
 def normalize_rows_backward_one_pass(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
     """encoder.normalize_rows_backward over the whole array at once."""
     return (d_unit - unit * np.sum(unit * d_unit, axis=-1, keepdims=True)) / norms
+
+
+def sigmoid_where(x: np.ndarray) -> np.ndarray:
+    """encoder.sigmoid's earlier formula, whose bits the two-array form keeps."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def attention_forward_packed(rows: np.ndarray, p: dict[str, np.ndarray], lengths: np.ndarray):
+    """encoder.attention_forward on the gathered rows (R, w) themselves: every
+    head row goes through the W2 product. Returns (out, alphas, cache)."""
+    sizes = np.asarray(lengths)
+    n_head = sizes - 1  # (B,)
+    seg = np.repeat(np.arange(len(sizes)), n_head)  # (H,): each head row's prefix
+    last_idx = np.cumsum(sizes) - 1  # (B,): each query row
+    head_idx = np.arange(len(seg)) + seg  # (H,): prefix b's head rows sit after b query rows
+    head, last = rows[head_idx], rows[last_idx]  # (H, w), (B, w)
+    h = sigmoid_where(head @ p["W2"].T + (last @ p["W1"].T + p["c"])[seg])  # (H, w)
+    pos = head_idx - (last_idx - n_head)[seg]  # (H,): place in its head
+    raw = np.full((len(sizes), n_head.max()), -np.inf)
+    raw[seg, pos] = h @ p["q"]
+    alphas = softmax_one_pass(raw)[seg, pos]  # (H,)
+    cat = np.concatenate([_segment_sum(alphas[:, None] * head, n_head), last], axis=1)  # [s'; e_L] (B, 2w)
+    out = cat @ p["W3"].T  # (B, w)
+    cache = {"head": head, "last": last, "head_idx": head_idx, "last_idx": last_idx, "seg": seg,
+             "n_head": n_head, "h": h, "alphas": alphas, "cat": cat, "params": p}
+    return out, alphas, cache
+
+
+def attention_backward_packed(cache: dict, d_out: np.ndarray):
+    """Backward pass of attention_forward_packed in one piece: (grads, d_rows (R, w))."""
+    p, head, last, h, alphas, seg = (cache[k] for k in ("params", "head", "last", "h", "alphas", "seg"))
+    w = head.shape[1]
+    dcat = d_out @ p["W3"]  # (B, 2w)
+    ds_prime = dcat[:, :w]
+    dalphas = np.einsum("ij,ij->i", head, ds_prime[seg])  # (H,)
+    # softmax jacobian, per prefix: da = alpha * (dalpha - <alpha, dalpha>)
+    draw = alphas * (dalphas - _segment_sum(alphas * dalphas, cache["n_head"])[seg])
+    du = draw[:, None] * p["q"] * h * (1.0 - h)  # (H, w)
+    du_sum = _segment_sum(du, cache["n_head"])  # (B, w)
+    grads = {"q": draw @ h, "c": du_sum.sum(axis=0), "W1": du_sum.T @ last, "W2": du.T @ head, "W3": d_out.T @ cache["cat"]}
+    d_rows = np.empty((len(head) + len(last), w))
+    d_rows[cache["head_idx"]] = alphas[:, None] * ds_prime[seg] + du @ p["W2"]
+    d_rows[cache["last_idx"]] = dcat[:, w:] + du_sum @ p["W1"]
+    return grads, d_rows
 
 
 def cross_entropy_one_pass(logits: np.ndarray, targets: np.ndarray):

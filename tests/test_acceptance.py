@@ -120,7 +120,7 @@ def test_criterion_3_normalization():
         w = int(rng.integers(2, 10))
         L = int(rng.integers(2, 12))
         p = init_attention_tensors(w, rng)
-        _, alphas, _ = attention_forward(rng.standard_normal((L, w)), p, [L])
+        _, alphas, _ = attention_forward(np.arange(L), rng.standard_normal((L, w)), p, [L])
         assert abs(alphas.sum() - 1.0) < 1e-6
     # score vectors and backbone outputs over 1000 instances (500 per variant)
     for variant in ("base", "sem-f"):

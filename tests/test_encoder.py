@@ -4,12 +4,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_catalog, make_semantic
-from oracles import numeric_grad, rel_err, scalar_attention, scalar_backbone, sigmoid_scalar
+from oracles import (
+    attention_backward_packed,
+    attention_forward_packed,
+    numeric_grad,
+    rel_err,
+    scalar_attention,
+    scalar_backbone,
+    sigmoid_scalar,
+    sigmoid_where,
+)
 from semsr.dataset import Example
 from semsr.encoder import (
     BACKBONES,
     attention_backward,
     attention_forward,
+    attention_rows_backward,
     get_backbone,
     init_attention_tensors,
     register_backbone,
@@ -36,7 +46,7 @@ class TestAttentionForward:
     def test_length_one_uses_empty_sum(self):
         p = hand_params(3)
         rows = np.array([[0.4, -0.2, 0.9]])
-        out, alphas, _ = attention_forward(rows, p, [1])
+        out, alphas, _ = attention_forward(np.arange(1), rows, p, [1])
         assert alphas.size == 0
         expected = p["W3"] @ np.concatenate([np.zeros(3), rows[0]])
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
@@ -51,14 +61,14 @@ class TestAttentionForward:
             "W3": np.concatenate([np.eye(w), np.zeros((w, w))], axis=1),
         }
         rows = np.random.default_rng(2).standard_normal((5, w))
-        out, alphas, _ = attention_forward(rows, p, [5])
+        out, alphas, _ = attention_forward(np.arange(5), rows, p, [5])
         np.testing.assert_allclose(alphas, 0.25, atol=1e-12)
         np.testing.assert_allclose(out[0], rows[:-1].mean(axis=0), atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         p = hand_params(2)
         rows = np.array([[0.3, -0.5], [0.8, 0.1], [-0.2, 0.6]])
-        out, alphas, _ = attention_forward(rows, p, [3])
+        out, alphas, _ = attention_forward(np.arange(3), rows, p, [3])
         exp_out, exp_alphas = scalar_attention(
             rows.tolist(), *(p[k].tolist() for k in ("q", "c", "W1", "W2", "W3"))
         )
@@ -73,7 +83,7 @@ class TestAttentionForward:
             w = int(rng.integers(2, 8))
             L = int(rng.integers(2, 12))
             p = init_attention_tensors(w, rng)
-            _, alphas, _ = attention_forward(rng.standard_normal((L, w)), p, [L])
+            _, alphas, _ = attention_forward(np.arange(L), rng.standard_normal((L, w)), p, [L])
             assert abs(alphas.sum() - 1.0) < 1e-6
             assert np.all(alphas > 0)
             assert np.all(alphas < 1) if L > 2 else np.all(alphas <= 1)
@@ -85,18 +95,19 @@ class TestAttentionForward:
         rows = rng.standard_normal((4, 5))
         swapped = rows.copy()
         swapped[[1, 3]] = swapped[[3, 1]]
-        out_a, _, _ = attention_forward(rows, p, [4])
-        out_b, _, _ = attention_forward(swapped, p, [4])
+        out_a, _, _ = attention_forward(np.arange(4), rows, p, [4])
+        out_b, _, _ = attention_forward(np.arange(4), swapped, p, [4])
         assert not np.allclose(out_a, out_b)
 
 
 def assert_matches_finite_differences(rows, p, lengths, probe):
     def loss():
-        out, _, _ = attention_forward(rows, p, lengths)
+        out, _, _ = attention_forward(np.arange(len(rows)), rows, p, lengths)
         return float(np.sum(probe * out))
 
-    _, _, cache = attention_forward(rows, p, lengths)
-    grads, d_rows = attention_backward(cache, probe)
+    _, _, cache = attention_forward(np.arange(len(rows)), rows, p, lengths)
+    grads, pieces = attention_backward(cache, probe)
+    d_rows = attention_rows_backward(cache, pieces)
     for name in ("q", "c", "W1", "W2", "W3"):
         fd = numeric_grad(loss, p[name])
         analytic = grads[name].reshape(-1)
@@ -125,15 +136,17 @@ def assert_packed_matches_unbatched(prefixes, p, d_out):
     output, alphas and row gradients of its own call with lengths [L], and the
     weight gradients summed over those calls."""
     rows, lengths = np.concatenate(prefixes), np.array([len(x) for x in prefixes])
-    out, alphas, cache = attention_forward(rows, p, lengths)
-    grads, d_rows = attention_backward(cache, d_out)
+    out, alphas, cache = attention_forward(np.arange(len(rows)), rows, p, lengths)
+    grads, pieces = attention_backward(cache, d_out)
+    d_rows = attention_rows_backward(cache, pieces)
     assert out.shape == d_out.shape and d_rows.shape == rows.shape
     assert alphas.shape == (len(rows) - len(prefixes),)
     summed = {k: np.zeros_like(v) for k, v in grads.items()}
     row = 0  # prefix i starts at row `row` and at alpha `row - i` (one query row per earlier prefix)
     for i, x in enumerate(prefixes):
-        out_i, alphas_i, cache_i = attention_forward(x, p, [len(x)])
-        grads_i, d_rows_i = attention_backward(cache_i, d_out[i : i + 1])
+        out_i, alphas_i, cache_i = attention_forward(np.arange(len(x)), x, p, [len(x)])
+        grads_i, pieces_i = attention_backward(cache_i, d_out[i : i + 1])
+        d_rows_i = attention_rows_backward(cache_i, pieces_i)
         np.testing.assert_allclose(out[i], out_i[0], atol=1e-12)
         np.testing.assert_allclose(alphas[row - i : row - i + len(x) - 1], alphas_i, atol=1e-12)
         np.testing.assert_allclose(d_rows[row : row + len(x)], d_rows_i, atol=1e-12)
@@ -167,6 +180,70 @@ class TestBatchedAttention:
         assert_packed_matches_unbatched(prefixes, p, rng.standard_normal((len(prefixes), w)))
 
 
+def assert_matches_packed_rows(items, table, p, lengths, d_out, same):
+    """attention_forward over (items, table) and both backward halves give, by
+    `same`, the packed-rows oracle's output, alphas, cache arrays, weight
+    gradients and row gradient on the gathered rows table[items]."""
+    out, alphas, cache = attention_forward(items, table, p, lengths)
+    grads, pieces = attention_backward(cache, d_out)
+    d_rows = attention_rows_backward(cache, pieces)
+    want_out, want_alphas, want_cache = attention_forward_packed(table[items], p, lengths)
+    want_grads, want_d_rows = attention_backward_packed(want_cache, d_out)
+    assert cache.keys() == want_cache.keys() and grads.keys() == want_grads.keys()
+    assert cache["params"] is p
+    same(out, want_out)
+    same(alphas, want_alphas)
+    same(d_rows, want_d_rows)
+    for k in want_cache.keys() - {"params"}:
+        same(cache[k], want_cache[k])
+    for k in want_grads:
+        same(grads[k], want_grads[k])
+
+
+def same_bits(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes(), f"max |diff| {np.max(np.abs(got - want), initial=0)}"
+
+
+def close_to_1e12(got, want):
+    # Inputs are O(1), so 1e-12 also bounds entries that cancel to rounding
+    # noise (all head rows one item: the oracle's ~1e-16 against an exact 0).
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestDistinctHeadItems:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        prefixes=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=12), min_size=1, max_size=6),
+        pool=st.integers(1, 8),
+        width=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(prefixes=[[0]], pool=1, width=1, seed=0)
+    @example(prefixes=[[0, 0, 0], [0, 0]], pool=1, width=3, seed=1)
+    @example(prefixes=[[2], [5, 1, 5, 5], [1]], pool=8, width=9, seed=2)
+    def test_matches_packed_rows_oracle(self, prefixes, pool, width, seed):
+        # item pools of 1-8 table rows, so a prefix and a batch repeat items
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((pool, width))
+        p = init_attention_tensors(width, rng)
+        items = np.array([i % pool for prefix in prefixes for i in prefix])
+        lengths = np.array([len(prefix) for prefix in prefixes])
+        d_out = rng.standard_normal((len(prefixes), width))
+        assert_matches_packed_rows(items, table, p, lengths, d_out, close_to_1e12)
+        # the backbone's call: every packed row its own item, products unchanged to the bit
+        assert_matches_packed_rows(np.arange(len(items)), table[items], p, lengths, d_out, same_bits)
+
+    def test_width_1024_is_bitwise(self):
+        # three distinct head items among six head rows, and a length-1 prefix
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((6, 1024))
+        p = init_attention_tensors(1024, rng)
+        items, lengths = np.array([0, 3, 0, 5, 2, 3, 3, 1, 4]), np.array([4, 4, 1])
+        assert_matches_packed_rows(items, table, p, lengths, rng.standard_normal((3, 1024)), same_bits)
+
+
 class TestSemanticEncoder:
     def test_output_width_is_d2(self):
         catalog = make_catalog(60)
@@ -174,7 +251,7 @@ class TestSemanticEncoder:
         p = init_attention_tensors(7, np.random.default_rng(1))
         for L in (1, 2, 3, 10, 50):
             prefix = list(np.random.default_rng(L).integers(0, 60, size=L))
-            s_l, alphas, _ = attention_forward(semantic.matrix[prefix], p, [L])
+            s_l, alphas, _ = attention_forward(np.arange(L), semantic.matrix[prefix], p, [L])
             assert s_l.shape == (1, 7)
             assert alphas.shape == (max(L - 1, 0),)
 
@@ -314,6 +391,14 @@ class TestNumerics:
         assert y[3] == y[4] == 0.5
         expected = [sigmoid_scalar(v) for v in x]
         assert y[:-1].tolist() == expected[:-1] and np.isnan(expected[-1])
+
+    def test_sigmoid_keeps_its_bits_and_leaves_its_input(self):
+        edges = [0.0, 5e-324, 1e-300, 709.78, 745.2, 800.0, np.inf, np.nan]
+        x = np.concatenate([edges, np.negative(edges), np.random.default_rng(15).standard_normal(10_000)])
+        before = x.copy()
+        y = sigmoid(x)
+        np.testing.assert_array_equal(y.view(np.int64), sigmoid_where(x).view(np.int64))
+        np.testing.assert_array_equal(x.view(np.int64), before.view(np.int64))
 
     def test_softmax_stable_and_normalized(self):
         x = np.array([1000.0, 1001.0, 999.0])
