@@ -9,7 +9,6 @@ Input files are JSON-lines:
 
 import json
 import math
-import operator
 import shutil
 import warnings
 from dataclasses import dataclass, field, fields
@@ -43,25 +42,6 @@ class ItemMeta:
 
 
 @dataclass
-class RawSession:
-    """A session as read from disk: item ids are still external strings."""
-
-    id: str
-    items: list[str]
-    user_id: str | None = None
-
-
-@dataclass
-class Session:
-    """A preprocessed session over dense item indices."""
-
-    id: str
-    items: list[int]
-    user_id: str | None = None
-    split: str | None = None
-
-
-@dataclass
 class Example:
     prefix: list[int]
     target: int
@@ -80,8 +60,7 @@ class Sessions:
     m: session i holds items[offsets[i]:offsets[i+1]] (the cu_seqlens
     layout) and belongs to `split`. A raw table (ingest's) holds codes into
     `vocab`, the external item ids; an indexed one holds catalog indices
-    and no vocab. `t[i]` (an int or np.integer) and iteration build a
-    RawSession or a Session on access; a slice builds a list of them."""
+    and no vocab."""
 
     ids: list[str]
     users: list[str | None]
@@ -90,47 +69,12 @@ class Sessions:
     split: str | None = None
     vocab: list[str] | None = None
 
-    @classmethod
-    def from_records(cls, records) -> "Sessions":
-        """The table of a list of RawSession records, or of Session records
-        that share one split."""
-        records = list(records)
-        splits = {getattr(r, "split", None) for r in records}
-        if len(splits) > 1:
-            raise DataError(f"a table holds one split, got {sorted(map(str, splits))}")
-        raw = bool(records) and isinstance(records[0], RawSession)
-        vocab: dict[str, int] = {}
-        codes = [vocab.setdefault(i, len(vocab)) if raw else i for r in records for i in r.items]
-        return cls(
-            ids=[r.id for r in records], users=[r.user_id for r in records],
-            items=np.array(codes, dtype=np.int64), offsets=_offsets([len(r.items) for r in records]),
-            split=splits.pop() if splits else None, vocab=list(vocab) if raw else None,
-        )
-
     @property
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        i = range(len(self))[operator.index(i)]
-        return self._record(i, self.items[self.offsets.item(i) : self.offsets.item(i + 1)].tolist())
-
-    def __iter__(self):
-        flat, bounds = self.items.tolist(), self.offsets.tolist()
-        return (self._record(i, flat[bounds[i] : bounds[i + 1]]) for i in range(len(self)))
-
-    def __eq__(self, other):
-        return isinstance(other, Sessions) and list(self) == list(other)
-
-    def _record(self, i: int, codes: list[int]):
-        if self.vocab is None:
-            return Session(id=self.ids[i], items=codes, user_id=self.users[i], split=self.split)
-        return RawSession(id=self.ids[i], items=[self.vocab[c] for c in codes], user_id=self.users[i])
 
     def take(self, keep: np.ndarray, split: str | None) -> "Sessions":
         """The sessions where the (m,) bool `keep` is set, in order, as `split`."""
@@ -146,7 +90,7 @@ class Examples:
     """(prefix, target) examples as columns over their sessions: example j
     is the first cut[j] items of sessions[session[j]], and its target the
     item after them. `t[j]` (an int or np.integer) and iteration build an
-    Example on access; a slice builds a list of them."""
+    Example on access."""
 
     sessions: Sessions
     session: np.ndarray  # (E,) int64
@@ -156,8 +100,6 @@ class Examples:
         return len(self.cut)
 
     def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[k] for k in range(len(self))[j]]
         start = self.sessions.offsets.item(self.session.item(j))  # .item: Python ints slice fast
         end = start + self.cut.item(j)
         return Example(prefix=self.sessions.items[start:end].tolist(), target=self.sessions.items.item(end))
@@ -493,15 +435,15 @@ def expand_incremental(sessions: Sessions) -> Examples:
 
 
 def dataset_manifest(catalog: Catalog, splits: dict[str, Sessions], seed: int) -> dict:
-    """Summary statistics of a preprocessed dataset (counts and avg length)."""
-    n_sessions = sum(len(part) for part in splits.values())
+    """Summary statistics of a preprocessed dataset (counts and avg length)
+    over its three splits."""
+    parts = [splits[name] for name in SPLITS]
     manifest = {
         "n_items": catalog.n,
-        "avg_session_len": sum(int(part.offsets[-1]) for part in splits.values()) / n_sessions,
+        "avg_session_len": sum(int(part.offsets[-1]) for part in parts) / sum(map(len, parts)),
         "seed": seed,
     }
-    for name in SPLITS:
-        part = splits.get(name, Sessions.from_records([]))
+    for name, part in zip(SPLITS, parts):
         manifest[f"n_{name}"] = len(part)
         manifest[f"n_{name}_examples"] = len(_cuts(part)[1])
     return manifest
@@ -539,7 +481,11 @@ def load_catalog(path) -> Catalog:
 
 
 def save_sessions(path, sessions: Sessions) -> None:
-    write_records(path, ({"session_id": s.id, "user_id": s.user_id, "items": s.items, "split": s.split} for s in sessions))
+    flat, bounds = sessions.items.tolist(), sessions.offsets.tolist()
+    write_records(path, (
+        {"session_id": session_id, "user_id": user, "items": flat[a:b], "split": sessions.split}
+        for session_id, user, a, b in zip(sessions.ids, sessions.users, bounds, bounds[1:])
+    ))
 
 
 def load_sessions(path, n: int, split: str) -> Sessions:

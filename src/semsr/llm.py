@@ -16,11 +16,11 @@ HttpClient posts a chat-style request ({"messages": [...]}) and retries
 with exponential backoff.
 """
 
+import http.client
 import json
 import os
 import threading
 import time
-import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from functools import partial
@@ -188,11 +188,12 @@ class HttpClient:
                 req = urllib.request.Request(self.url, data=payload, headers=headers)
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                     return _reply_text(json.loads(resp.read().decode("utf-8")))
-            except (urllib.error.URLError, TimeoutError, ValueError) as exc:  # ValueError: not UTF-8, JSON or a reply
+            except (OSError, http.client.HTTPException, ValueError) as exc:  # no reply, a malformed one, or one without text
                 last_error = exc
                 if attempt + 1 < self.max_retries:
                     time.sleep(self.backoff * (2**attempt))
-        raise GenerationError(f"generation failed after {self.max_retries} attempts: {last_error}")
+        # strip: a BadStatusLine's text is the raw line, CRLF included
+        raise GenerationError(f"generation failed after {self.max_retries} attempts: {str(last_error).strip()}")
 
 
 def build_fewshot_strategy(
@@ -214,8 +215,9 @@ def build_fewshot_strategy(
     picks = rng.choice(len(usable), size=min(n_shots, len(usable)), replace=False)
     shots = []
     for i in sorted(int(p) for p in picks):
-        s = train_sessions[usable[i]]
-        shots.append(([catalog.title(j) for j in s.items[:-1]], catalog.title(s.items[-1])))
+        start, end = train_sessions.offsets[usable[i] : usable[i] + 2].tolist()
+        items = train_sessions.items[start:end].tolist()
+        shots.append(([catalog.title(j) for j in items[:-1]], catalog.title(items[-1])))
     return PromptStrategy(kind=kind, shots=shots)
 
 

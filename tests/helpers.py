@@ -1,13 +1,15 @@
 """Shared fixture builders for the test suite."""
 
+import http.client
 import http.server
+import socket
 import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 from semsr import model
-from semsr.dataset import Catalog, Example, ItemMeta
+from semsr.dataset import Catalog, Example, ItemMeta, Sessions
 from semsr.embeddings import SemanticItemTable, encode_text, pseudo_semantic_table
 
 
@@ -17,6 +19,16 @@ def make_catalog(n: int, tag: str = "t") -> Catalog:
         for j in range(n)
     ]
     return Catalog(items=items)
+
+
+def make_sessions(seqs, split: str | None = None, ids=None, users=None) -> Sessions:
+    """The indexed table of `seqs`, lists of catalog indices: session i is
+    named ids[i] (default "s<i>") and belongs to users[i] (default None)."""
+    return Sessions(
+        ids=list(ids or (f"s{i}" for i in range(len(seqs)))), users=list(users or [None] * len(seqs)),
+        items=np.array([i for seq in seqs for i in seq], dtype=np.int64),
+        offsets=np.cumsum([0, *map(len, seqs)], dtype=np.int64), split=split,
+    )
 
 
 def tree(root) -> dict:
@@ -91,3 +103,36 @@ def serving(body: bytes):
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
+
+
+@contextmanager
+def raw_serving(reply: bytes):
+    """A TCP server on 127.0.0.1 that reads each connection's HTTP request,
+    answers it with the raw bytes `reply` (which need not be HTTP) and
+    closes it. Yields (url, connections), where `connections` is a list
+    that gets one entry per connection accepted."""
+    connections, stop = [], threading.Event()
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(0.05)
+
+    def answer() -> None:
+        while not stop.is_set():
+            try:
+                conn, peer = server.accept()
+            except TimeoutError:
+                continue
+            connections.append(peer)
+            conn.settimeout(10)
+            with conn, conn.makefile("rb") as request:
+                request.readline()  # the request line
+                request.read(int(http.client.parse_headers(request).get("Content-Length", 0)))
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.getsockname()[1]}/", connections
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        server.close()

@@ -7,12 +7,14 @@ except the packed-rows attention (every head row projected, the backward
 in one piece), which sums segments with the package's `_segment_sum`, and
 the list-of-records dataset pipeline at the end (ingest_sessions to
 dataset_manifest, the columnar tables' reference), which reads lines and
-states value rules with the package's own helpers and record types."""
+states value rules with the package's own helpers. Its session records,
+RawSession and Session, are its own: the package holds sessions only as
+columns."""
 
 import math
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +24,6 @@ from semsr.dataset import (
     Catalog,
     Example,
     ItemMeta,
-    RawSession,
-    Session,
     _ident,
     _required,
     _session_ids,
@@ -271,6 +271,25 @@ def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
 
 # The list-of-records dataset pipeline the columnar tables replace, one
 # record object per session and per example.
+
+
+@dataclass
+class RawSession:
+    """A session as read from disk: item ids are still external strings."""
+
+    id: str
+    items: list[str]
+    user_id: str | None = None
+
+
+@dataclass
+class Session:
+    """A preprocessed session over dense item indices."""
+
+    id: str
+    items: list[int]
+    user_id: str | None = None
+    split: str | None = None
 
 
 def _raw_session(line: str) -> RawSession:

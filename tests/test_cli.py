@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semsr.dataset as ds
-from helpers import count_item_side_builds, make_catalog, serving
+from helpers import count_item_side_builds, make_catalog, raw_serving, serving
 from oracles import rr_at_k
 from semsr import config, model
 from semsr.cli import main
@@ -233,15 +234,12 @@ class TestIngestCommand:
     def test_manifest_statistics(self, workspace):
         manifest = json.loads((workspace / "data" / "manifest.json").read_text())
         n = manifest["n_items"]
-        sessions = []
-        for name in ("train", "val", "test"):
-            sessions += ds.load_sessions(workspace / "data" / f"{name}.jsonl", n, split=name)
+        parts = [ds.load_sessions(workspace / "data" / f"{name}.jsonl", n, split=name) for name in ("train", "val", "test")]
         # counting oracle over the written splits
         assert manifest["avg_session_len"] == pytest.approx(
-            sum(len(s.items) for s in sessions) / len(sessions)
+            sum(len(part.items) for part in parts) / sum(len(part) for part in parts)
         )
-        train = ds.load_sessions(workspace / "data" / "train.jsonl", n, split="train")
-        assert manifest["n_train_examples"] == sum(len(s.items) - 1 for s in train)
+        assert manifest["n_train_examples"] == len(parts[0].items) - len(parts[0])
         n_catalog_lines = len((workspace / "data" / "catalog.json").read_text().splitlines())
         assert manifest["n_items"] == n_catalog_lines
         assert manifest["seed"] == 7
@@ -608,7 +606,7 @@ def write_title_mock(workspace, every=1):
     strategy = build_fewshot_strategy("fs", train, catalog, n_shots=3, seed=7)
     templates = load_templates()
     mapping = {}
-    for ex in ds.expand_incremental(test)[::every]:
+    for ex in list(ds.expand_incremental(test))[::every]:
         titles = [catalog.title(i) for i in ex.prefix]
         system, user = build_prompt(strategy, titles, templates=templates)
         mapping[prompt_hash(system, user)] = catalog.title(ex.target)
@@ -651,8 +649,10 @@ class TestPromptCommand:
     def test_prompt_without_client_is_exit_2(self, workspace):
         assert main(["prompt", "--config", str(workspace / "run.cfg")]) == 2
 
-    def test_reply_without_text_is_exit_1(self, workspace, capsys):
-        with serving(b"[1, 2]") as (url, _):
+    @pytest.mark.parametrize("server", [partial(serving, b"[1, 2]"), partial(raw_serving, b"not an HTTP reply\r\n\r\n")],
+                             ids=["without-text", "not-http"])
+    def test_failed_reply_is_exit_1(self, workspace, capsys, server):
+        with server() as (url, _):
             cfg = workspace / "http.cfg"
             cfg.write_text(BASE_CFG + f"endpoint_url = {url}\nmax_retries = 1\nstrategy = zcot\n")
             capsys.readouterr()

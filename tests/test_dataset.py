@@ -14,12 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import tree
+from helpers import make_sessions, tree
 from semsr import dataset
 from semsr.dataset import (
     SPLITS,
-    RawSession,
-    Session,
     Sessions,
     dataset_manifest,
     expand_incremental,
@@ -48,6 +46,23 @@ def metadata_records(ids):
     return [{"id": i, "title": f"title {i}"} for i in ids]
 
 
+def raw_table(seqs) -> Sessions:
+    """The raw table `ingest_sessions` reads from a log of `seqs`, lists of
+    external item ids, as sessions s0, s1, ..."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sessions.jsonl"
+        write_jsonl(path, [{"session_id": f"s{i}", "items": seq} for i, seq in enumerate(seqs)])
+        return ingest_sessions(path)
+
+
+def item_lists(table: Sessions) -> list[list]:
+    """Each session's items as a list: external ids for a raw table,
+    catalog indices for an indexed one."""
+    bounds = table.offsets.tolist()
+    seqs = [table.items[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+    return seqs if table.vocab is None else [[table.vocab[c] for c in seq] for seq in seqs]
+
+
 class TestIngest:
     def test_parses_sessions_in_file_order(self, tmp_path):
         f = tmp_path / "sessions.jsonl"
@@ -56,9 +71,9 @@ class TestIngest:
             {"session_id": "s2", "user_id": "u9", "items": ["a", "b", "c", "d", "e"]},
         ])
         sessions = ingest_sessions(f)
-        assert [s.id for s in sessions] == ["s1", "s2"]
-        assert [len(s.items) for s in sessions] == [3, 5]
-        assert sessions[1].user_id == "u9"
+        assert sessions.ids == ["s1", "s2"]
+        assert item_lists(sessions) == [["a", "b", "c"], ["a", "b", "c", "d", "e"]]
+        assert sessions.users == [None, "u9"]
 
     def test_missing_items_field_names_line(self, tmp_path):
         f = tmp_path / "sessions.jsonl"
@@ -90,7 +105,7 @@ class TestIngest:
         with pytest.warns(UserWarning, match="duplicate session_id"):
             sessions = ingest_sessions(f)
         assert len(sessions) == 2
-        assert [s.items for s in sessions] == [["a", "b"], ["c", "d"]]
+        assert item_lists(sessions) == [["a", "b"], ["c", "d"]]
 
     def test_empty_file_is_an_error(self, tmp_path):
         f = tmp_path / "sessions.jsonl"
@@ -104,7 +119,7 @@ class TestIngest:
             {"session_id": "s1", "user_id": 0, "items": ["a", "b"]},
             {"session_id": "s2", "user_id": 0, "items": ["b", "c"]},
         ])
-        assert [s.user_id for s in ingest_sessions(f)] == ["0", "0"]
+        assert ingest_sessions(f).users == ["0", "0"]
 
 
 def brute_force_filter(seqs, min_freq, min_len):
@@ -128,22 +143,20 @@ class TestPreprocess:
         assert sig.parameters["min_session_len"].default == 2
 
     def test_nothing_filtered_at_threshold_one(self):
-        sessions = Sessions.from_records([RawSession(id="s", items=["a", "b"])])
         meta = {m["id"]: _meta(m) for m in metadata_records(["a", "b"])}
-        catalog, out = preprocess(sessions, meta, min_item_freq=1, min_session_len=2)
+        catalog, out = preprocess(raw_table([["a", "b"]]), meta, min_item_freq=1, min_session_len=2)
         assert catalog.n == 2
-        assert [catalog.items[i].id for i in out[0].items] == ["a", "b"]
+        assert [[catalog.items[i].id for i in seq] for seq in item_lists(out)] == [["a", "b"]]
 
     def test_rare_item_removed_and_short_sessions_dropped(self):
         # item "x" appears 4 times; everything else is frequent
         seqs = [["a", "b", "x"], ["a", "b"], ["a", "b", "x"], ["a", "x", "b"],
                 ["x", "c"], ["a", "c"], ["b", "c"], ["a", "c"], ["b", "c"], ["a", "b"]]
-        sessions = Sessions.from_records([RawSession(id=f"s{i}", items=s) for i, s in enumerate(seqs)])
         meta = {m["id"]: _meta(m) for m in metadata_records(["a", "b", "c", "x"])}
-        catalog, out = preprocess(sessions, meta, min_item_freq=5, min_session_len=2)
+        catalog, out = preprocess(raw_table(seqs), meta, min_item_freq=5, min_session_len=2)
         assert "x" not in catalog.index
         expected = brute_force_filter(seqs, 5, 2)
-        got = [[catalog.items[i].id for i in s.items] for s in out]
+        got = [[catalog.items[i].id for i in seq] for seq in item_lists(out)]
         assert got == expected
 
     @settings(max_examples=150, deadline=None)
@@ -157,7 +170,7 @@ class TestPreprocess:
         """Items i0..i{n_known-1} have metadata; the filter's output is the
         brute-force fixed point over the sessions restricted to them."""
         ids = [[f"i{x}" for x in seq] for seq in seqs]
-        sessions = Sessions.from_records([RawSession(id=f"s{j}", items=seq) for j, seq in enumerate(ids)])
+        sessions = raw_table(ids)
         meta = {m["id"]: _meta(m) for m in metadata_records([f"i{x}" for x in range(n_known)])}
         expected = brute_force_filter([[i for i in seq if i in meta] for seq in ids], min_freq, min_len)
         with warnings.catch_warnings():
@@ -168,21 +181,19 @@ class TestPreprocess:
                 return
             catalog, out = preprocess(sessions, meta, min_item_freq=min_freq, min_session_len=min_len)
         assert [m.id for m in catalog.items] == sorted({i for seq in expected for i in seq})
-        assert [[catalog.items[i].id for i in s.items] for s in out] == expected
+        assert [[catalog.items[i].id for i in seq] for seq in item_lists(out)] == expected
 
     def test_all_filtered_is_an_error(self):
-        sessions = Sessions.from_records([RawSession(id="s", items=["a", "b"])])
         meta = {m["id"]: _meta(m) for m in metadata_records(["a", "b"])}
         with pytest.raises(DataError, match="empty dataset"):
-            preprocess(sessions, meta, min_item_freq=3, min_session_len=2)
+            preprocess(raw_table([["a", "b"]]), meta, min_item_freq=3, min_session_len=2)
 
     def test_unknown_items_dropped_with_warning(self):
-        sessions = Sessions.from_records([RawSession(id="s", items=["a", "ghost", "b"])])
         meta = {m["id"]: _meta(m) for m in metadata_records(["a", "b"])}
         with pytest.warns(UserWarning, match="without metadata"):
-            catalog, out = preprocess(sessions, meta, min_item_freq=1, min_session_len=2)
+            catalog, out = preprocess(raw_table([["a", "ghost", "b"]]), meta, min_item_freq=1, min_session_len=2)
         assert catalog.n == 2
-        assert len(out[0].items) == 2
+        assert out.lengths.tolist() == [2]
 
 
 def _meta(rec):
@@ -191,12 +202,14 @@ def _meta(rec):
     return ItemMeta(id=rec["id"], title=rec["title"])
 
 
-def _sessions_for_users(n_users, per_user=1):
-    out = []
-    for u in range(n_users):
-        for s in range(per_user):
-            out.append(Session(id=f"u{u}-s{s}", items=[0, 1], user_id=f"u{u}"))
-    return Sessions.from_records(out)
+def _sessions_for_users(n_users, per_user=1, anonymous=0):
+    """per_user sessions [0, 1] for each user, then `anonymous` sessions [1, 0] without one."""
+    keys = [(f"u{u}-s{s}", f"u{u}") for u in range(n_users) for s in range(per_user)]
+    return make_sessions(
+        [[0, 1]] * len(keys) + [[1, 0]] * anonymous,
+        ids=[i for i, _ in keys] + [f"anon{j}" for j in range(anonymous)],
+        users=[u for _, u in keys] + [None] * anonymous,
+    )
 
 
 class TestSplit:
@@ -208,7 +221,7 @@ class TestSplit:
         sessions = _sessions_for_users(25, per_user=2)
         a = split_by_user(sessions, seed=11)
         b = split_by_user(sessions, seed=11)
-        assert [[s.id for s in part] for part in a] == [[s.id for s in part] for part in b]
+        assert [part.ids for part in a] == [part.ids for part in b]
 
     def test_thousand_keys_within_one_of_ratio(self):
         train, val, test = split_by_user(_sessions_for_users(1000), seed=0)
@@ -220,17 +233,17 @@ class TestSplit:
         sessions = _sessions_for_users(20, per_user=3)
         parts = split_by_user(sessions, seed=5)
         seen = {}
-        for name, part in zip(("train", "val", "test"), parts):
-            for s in part:
-                assert seen.setdefault(s.user_id, name) == name
-                assert s.split == name
+        for name, part in zip(SPLITS, parts):
+            assert part.split == name
+            for user in part.users:
+                assert seen.setdefault(user, name) == name
         assert sum(len(p) for p in parts) == len(sessions)
 
     def test_assignment_is_pinned_for_a_seed(self):
         # recorded from the reference implementation: 12 keys at 0.6/0.2/0.2 apportion to 7/3/2
-        sessions = Sessions.from_records([*_sessions_for_users(7, per_user=2), *(Session(id=f"anon{j}", items=[1, 0]) for j in range(5))])
+        sessions = _sessions_for_users(7, per_user=2, anonymous=5)
         parts = split_by_user(sessions, ratios=(0.6, 0.2, 0.2), seed=4)
-        assert [[s.id for s in part] for part in parts] == [
+        assert [part.ids for part in parts] == [
             ["u2-s0", "u2-s1", "u3-s0", "u3-s1", "u4-s0", "u4-s1", "u5-s0", "u5-s1", "anon0", "anon1", "anon2"],
             ["u1-s0", "u1-s1", "anon3", "anon4"],
             ["u0-s0", "u0-s1", "u6-s0", "u6-s1"],
@@ -252,27 +265,22 @@ class TestSplit:
 
 class TestExpand:
     def test_train_session_expands_incrementally(self):
-        s = Session(id="s", items=[4, 7, 9], split="train")
-        got = expand_incremental(Sessions.from_records([s]))
+        got = expand_incremental(make_sessions([[4, 7, 9]], split="train"))
         assert [(e.prefix, e.target) for e in got] == [([4], 7), ([4, 7], 9)]
 
     def test_test_session_yields_one_example(self):
-        s = Session(id="s", items=[4, 7, 9], split="test")
-        got = expand_incremental(Sessions.from_records([s]))
+        got = expand_incremental(make_sessions([[4, 7, 9]], split="test"))
         assert [(e.prefix, e.target) for e in got] == [([4, 7], 9)]
 
     def test_expansion_count_matches_summation(self):
         rng = np.random.default_rng(1)
-        sessions = Sessions.from_records([
-            Session(id=f"s{i}", items=[int(x) for x in rng.integers(0, 50, size=rng.integers(2, 12))], split="train")
-            for i in range(100)
-        ])
-        got = expand_incremental(sessions)
-        assert len(got) == sum(len(s.items) - 1 for s in sessions)
+        seqs = [[int(x) for x in rng.integers(0, 50, size=rng.integers(2, 12))] for _ in range(100)]
+        got = expand_incremental(make_sessions(seqs, split="train"))
+        assert len(got) == sum(len(seq) - 1 for seq in seqs)
 
     def test_unsplit_session_rejected(self):
         with pytest.raises(DataError, match="no split"):
-            expand_incremental(Sessions.from_records([Session(id="s", items=[1, 2])]))
+            expand_incremental(make_sessions([[1, 2]]))
 
 
 ITEM_IDS = ["a", "b", "c", "d", "e", "f", 7, 8, "9"]  # JSON integers ingest as their digits
@@ -283,6 +291,14 @@ def _log_record(session_id, user, items):
     if user != "absent":
         rec["user_id"] = user
     return rec
+
+
+def _rows(part) -> list[tuple]:
+    """(id, items, user, split) of each session of a table or of a list of
+    the oracle's records."""
+    if isinstance(part, Sessions):
+        return [(*row, part.split) for row in zip(part.ids, item_lists(part), part.users)]
+    return [(s.id, s.items, s.user_id, s.split) for s in part]
 
 
 def _pipeline(steps, path, metadata, min_freq, min_len, seed):
@@ -297,7 +313,7 @@ def _pipeline(steps, path, metadata, min_freq, min_len, seed):
         except DataError as exc:
             return str(exc), [str(w.message) for w in caught]
     examples = [list(steps.expand_incremental(part)) for part in parts]
-    rows = [[(s.id, s.items, s.user_id, s.split) for s in part] for part in parts]
+    rows = [_rows(part) for part in parts]
     manifest = steps.dataset_manifest(catalog, dict(zip(SPLITS, parts)), seed)
     return ([m.id for m in catalog.items], rows, examples, manifest), [str(w.message) for w in caught]
 
@@ -334,7 +350,6 @@ class TestColumnarAgainstRecords:
                     _, processed = preprocess(ingest_sessions(path), metadata, min_freq, min_len)
                 for part in split_by_user(processed, seed=seed):
                     examples = expand_incremental(part)
-                    assert [part[np.int64(i)] for i in range(len(part))] == list(part)
                     assert [examples[np.int64(j)] for j in range(len(examples))] == list(examples)
 
 
@@ -445,10 +460,17 @@ class TestPersistence:
         assert message in str(info.value)
 
     def test_sessions_roundtrip(self, tmp_path):
-        sessions = Sessions.from_records([Session(id="a", items=[0, 1, 2], user_id="u", split="train")])
+        sessions = make_sessions([[0, 1, 2], [2, 0], [1, 1, 0, 2]], split="train", ids=["a", "b", "c"], users=["u", None, "u"])
         save_sessions(tmp_path / "train.jsonl", sessions)
+        assert (tmp_path / "train.jsonl").read_text() == (
+            '{"items": [0, 1, 2], "session_id": "a", "split": "train", "user_id": "u"}\n'
+            '{"items": [2, 0], "session_id": "b", "split": "train", "user_id": null}\n'
+            '{"items": [1, 1, 0, 2], "session_id": "c", "split": "train", "user_id": "u"}\n'
+        )
         back = load_sessions(tmp_path / "train.jsonl", 3, split="train")
-        assert back == sessions
+        assert (back.ids, back.users, back.split, back.vocab) == (["a", "b", "c"], ["u", None, "u"], "train", None)
+        assert item_lists(back) == item_lists(sessions)
+        assert back.items.dtype == back.offsets.dtype == np.int64
 
     @pytest.mark.parametrize("items", ["12", [1.9, True], [3]], ids=["string", "float-and-bool", "one-item"])
     def test_split_items_must_be_a_list_of_integers(self, tmp_path, items):
@@ -459,9 +481,9 @@ class TestPersistence:
 
     def test_manifest_counts(self):
         splits = {
-            "train": Sessions.from_records([Session(id="a", items=[0, 1, 2], split="train"), Session(id="b", items=[0, 1], split="train")]),
-            "val": Sessions.from_records([Session(id="c", items=[1, 2], split="val")]),
-            "test": Sessions.from_records([Session(id="d", items=[2, 0, 1, 2], split="test")]),
+            "train": make_sessions([[0, 1, 2], [0, 1]], split="train"),
+            "val": make_sessions([[1, 2]], split="val"),
+            "test": make_sessions([[2, 0, 1, 2]], split="test"),
         }
         from helpers import make_catalog
 

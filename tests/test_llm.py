@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import make_catalog, serving
+from helpers import make_catalog, make_sessions, raw_serving, serving
 from oracles import index_one_pass
 from semsr import dataset as ds
-from semsr.dataset import Session, Sessions
 from semsr.embeddings import encode_text, pseudo_semantic_table
 from semsr.errors import DataError, GenerationError
 from semsr.llm import (
@@ -82,13 +81,15 @@ class TestStrategyInvariants:
             PromptStrategy(kind="one-shot")
 
     def test_sampling_from_train_split(self):
-        sessions = Sessions.from_records([Session(id=f"s{i}", items=[i % 5, (i + 1) % 5, (i + 2) % 5], split="train") for i in range(10)])
-        catalog = make_catalog(5)
+        seqs = [list(range(i, i + 2 + i % 4)) for i in range(10)]  # distinct, of lengths 2 to 5
+        sessions, catalog = make_sessions(seqs, split="train"), make_catalog(15)
         a = build_fewshot_strategy("fscot", sessions, catalog, n_shots=3, seed=4)
         b = build_fewshot_strategy("fscot", sessions, catalog, n_shots=3, seed=4)
         assert a.shots == b.shots
-        assert len(a.shots) == 3
-        assert all(target in [m.title for m in catalog.items] for _, target in a.shots)
+        # each shot is one session: the titles of its first L-1 items, then its last; in session order
+        whole = [([catalog.title(j) for j in seq[:-1]], catalog.title(seq[-1])) for seq in seqs]
+        picked = [whole.index(shot) for shot in a.shots]
+        assert len(set(picked)) == 3 and picked == sorted(picked)
 
     def test_zcot_sampling_is_empty(self):
         assert build_fewshot_strategy("zcot", [], make_catalog(2), seed=0).shots == []
@@ -231,6 +232,18 @@ class TestHttpClient:
             with pytest.raises(GenerationError, match="2 attempts"):
                 client.generate("sys", "usr")
         assert len(requests) == 2
+
+    @pytest.mark.parametrize("reply", [
+        b"not an HTTP reply\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"text\": ",
+        b"",
+    ], ids=["bad-status-line", "incomplete-read", "remote-disconnected"])
+    def test_malformed_reply_is_a_failed_attempt(self, reply):
+        with raw_serving(reply) as (url, connections):
+            client = HttpClient(url, timeout=10, max_retries=2, backoff=0.0)
+            with pytest.raises(GenerationError, match="2 attempts"):
+                client.generate("sys", "usr")
+        assert len(connections) == 2
 
 
 class TestTitleIndex:
